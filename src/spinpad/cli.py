@@ -609,13 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, default_out: str) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", default=default_out, help="output directory")
-        p.add_argument("--workers", type=int,
-                       help="parallel workers for sweep points")
 
     p = sub.add_parser("wer-sweep", help="Monte Carlo WER vs write amplitude")
     common(p, "runs/wer-sweep")
+    p.add_argument("--seed", type=int, help="override the run seed")
+    p.add_argument("--workers", type=int,
+                   help="parallel workers; the points of one duration are "
+                        "split into up to N batches")
     p.add_argument("--durations", help="pulse durations ns: 'a,b' or 'a:b:step'")
     p.add_argument("--amplitudes", help="amplitude grid uA: 'a,b' or 'a:b:step'")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
@@ -652,6 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("error-train",
                        help="train the desk-scale MLP under write errors")
     common(p, "runs/error-train")
+    p.add_argument("--seed", type=int, help="override the run seed")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("manifest", help="path to a manifest.json")

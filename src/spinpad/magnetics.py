@@ -39,9 +39,13 @@ above it can never switch under a constant or zero drive, so it is
 retired (m_z > I / i_c0 during the pulse, m_z > 0 during relaxation).
 
 Monte Carlo streams: every sweep point derives a private stream from
-(seed, point index) through SeedSequence spawn keys, and the trials of
-a point are the rows of batched draws from that stream, so estimates
-are bit-identical for a fixed seed regardless of worker scheduling.
+(seed, point index) through SeedSequence spawn keys.  A sweep integrates
+the points of one duration together, each point owning a contiguous
+block of cfg.trials rows; a point's initial states and its thermal noise
+for its still-active rows are drawn from its own stream alone, in the
+order and shapes a lone integration of that point would draw them.
+Estimates are therefore bit-identical for a fixed seed however the
+points are grouped into batches or spread over workers.
 """
 
 from __future__ import annotations
@@ -231,7 +235,8 @@ class WerCurve:
     def from_csv(cls, path) -> "WerCurve":
         pts = []
         with open(path, newline="") as fh:
-            r = csv.DictReader(fh)
+            # the CLI heads its CSV files with a "# manifest: ..." line
+            r = csv.DictReader(line for line in fh if not line.startswith("#"))
             for row in r:
                 pts.append(WerPoint(float(row["amplitude_uA"]), float(row["duration_ns"]),
                                     int(row["trials"]), float(row["p_switch"])))
@@ -327,41 +332,54 @@ def _rhs(mx, my, mz, hx, hy, hz, aj, alpha, pre):
     return rx, ry, rz
 
 
-_CHUNK_STEPS = 512  # noise is drawn chunk-wise; finished trials are compacted out
+_CHUNK_STEPS = 512  # finished trials are compacted out every chunk
+_NOISE_BLOCK_STEPS = 64  # thermal noise is drawn in blocks of this many steps
 
 
-def _llg_chunk(rng, sigma, hk, alpha, pre, dt, state, aj, steps):
+def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     """Advance the 3-D stochastic macrospin by `steps` Heun steps.
 
-    Returns (state, first, drop): the new (mx, my, mz), the 1-based step
-    of each row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none) and
-    the rows to compact out, which are the switched ones.
+    state is (mx, my, mz, point): the active rows, grouped by point in
+    order, and the index into rngs of each row's point.  Each block of
+    _NOISE_BLOCK_STEPS steps draws a (block, rows, 3) normal array per
+    point from that point's stream, over its active rows only; block
+    after block this consumes every stream exactly as one (steps, rows,
+    3) draw would, while the noise held at once stays one block.
+
+    Returns (state, first, drop): the new state, the 1-based step of each
+    row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none) and the
+    rows to compact out, which are the switched ones.
     """
-    mx, my, mz = state
+    mx, my, mz, point = state
     na = len(mz)
-    noise = sigma * rng.standard_normal((steps, na, 3))
+    rows = np.bincount(point, minlength=len(rngs))
     crossed = np.zeros(na, dtype=bool)
     first = np.full(na, -1, dtype=np.int64)
-    for j in range(steps):
-        hx, hy, hz = noise[j, :, 0], noise[j, :, 1], noise[j, :, 2]
-        k1x, k1y, k1z = _rhs(mx, my, mz, hx, hy, hz + hk * mz, aj, alpha, pre)
-        px, py, pz = mx + dt * k1x, my + dt * k1y, mz + dt * k1z
-        k2x, k2y, k2z = _rhs(px, py, pz, hx, hy, hz + hk * pz, aj, alpha, pre)
-        mx = mx + 0.5 * dt * (k1x + k2x)
-        my = my + 0.5 * dt * (k1y + k2y)
-        mz = mz + 0.5 * dt * (k1z + k2z)
-        norm = np.sqrt(mx * mx + my * my + mz * mz)
-        if not np.all(np.isfinite(norm)) or np.any(norm < 0.5):
-            raise NumericalFailureError(
-                "integration blow-up: |m| left the unit sphere")
-        mx /= norm
-        my /= norm
-        mz /= norm
-        newly = (mz < SWITCH_THRESHOLD_MZ) & ~crossed
-        if newly.any():
-            crossed |= newly
-            first[newly] = j + 1
-    return (mx, my, mz), first, crossed
+    for start in range(0, steps, _NOISE_BLOCK_STEPS):
+        block = min(_NOISE_BLOCK_STEPS, steps - start)
+        noise = sigma * np.concatenate(
+            [rng.standard_normal((block, k, 3)) for rng, k in zip(rngs, rows) if k],
+            axis=1)
+        for j in range(block):
+            hx, hy, hz = noise[j, :, 0], noise[j, :, 1], noise[j, :, 2]
+            k1x, k1y, k1z = _rhs(mx, my, mz, hx, hy, hz + hk * mz, aj, alpha, pre)
+            px, py, pz = mx + dt * k1x, my + dt * k1y, mz + dt * k1z
+            k2x, k2y, k2z = _rhs(px, py, pz, hx, hy, hz + hk * pz, aj, alpha, pre)
+            mx = mx + 0.5 * dt * (k1x + k2x)
+            my = my + 0.5 * dt * (k1y + k2y)
+            mz = mz + 0.5 * dt * (k1z + k2z)
+            norm = np.sqrt(mx * mx + my * my + mz * mz)
+            if not np.all(np.isfinite(norm)) or np.any(norm < 0.5):
+                raise NumericalFailureError(
+                    "integration blow-up: |m| left the unit sphere")
+            mx /= norm
+            my /= norm
+            mz /= norm
+            newly = (mz < SWITCH_THRESHOLD_MZ) & ~crossed
+            if newly.any():
+                crossed |= newly
+                first[newly] = start + j + 1
+    return (mx, my, mz, point), first, crossed
 
 
 def _axial_chunk(ahk, pre, dt, state, aj, steps):
@@ -390,7 +408,7 @@ def _axial_chunk(ahk, pre, dt, state, aj, steps):
 
 def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: float,
                      cfg: MagSimConfig,
-                     rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+                     rngs: list[np.random.Generator] | None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a batch of trials; row i uses drive amplitudes_ua[i].
 
     Returns (switched bool array, first-crossing time in ns with nan for
@@ -398,8 +416,11 @@ def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: 
     drive is removed for cfg.relax_time_ns while the state keeps evolving.
 
     At T > 0 the full 3-D stochastic LLG runs from thermal initial states.
-    At T = 0 only the axial m_z equation is integrated (see the module
-    docstring) and rng is not read, so it may be None.  Rows are compacted
+    The rows fall into len(rngs) equal contiguous blocks, one per point:
+    block k draws its initial states and its noise from rngs[k] alone (see
+    _llg_chunk), so its outcomes do not depend on the other blocks.  At
+    T = 0 only the axial m_z equation is integrated (see the module
+    docstring) and rngs is not read, so it may be None.  Rows are compacted
     out at the end of each chunk once they have switched or, at T = 0,
     once m_z lies above the unstable fixed point (m_z > I / i_c0 during
     the pulse, m_z > 0 during relaxation).  The step is small enough
@@ -422,9 +443,12 @@ def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: 
         state = (np.full(n, math.cos(tilt)),)
         advance = functools.partial(_axial_chunk, alpha * hk, pre, dt)
     else:
-        state = _initial_state(device, rng, n)
+        per_point = n // len(rngs)
+        columns = zip(*(_initial_state(device, rng, per_point) for rng in rngs))
+        state = (*(np.concatenate(c) for c in columns),
+                 np.repeat(np.arange(len(rngs)), per_point))
         sigma = thermal_field_std_oe(device, cfg.time_step_ps)
-        advance = functools.partial(_llg_chunk, rng, sigma, hk, alpha, pre, dt)
+        advance = functools.partial(_llg_chunk, rngs, sigma, hk, alpha, pre, dt)
     switch_step = np.full(n, -1, dtype=np.int64)
     active = np.arange(n)
 
@@ -454,7 +478,7 @@ def integrate_llg(device: MtjDevice, pulse: WritePulse, cfg: MagSimConfig,
     if rng is None:
         rng = derive_stream(cfg.seed)
     switched, times = _integrate_batch(
-        device, np.array([pulse.amplitude_ua]), pulse.duration_ns, cfg, rng)
+        device, np.array([pulse.amplitude_ua]), pulse.duration_ns, cfg, [rng])
     return SwitchingResult(bool(switched[0]),
                            float(times[0]) if switched[0] else None)
 
@@ -465,7 +489,7 @@ def estimate_psw(device: MtjDevice, pulse: WritePulse, cfg: MagSimConfig,
     if rng is None:
         rng = derive_stream(cfg.seed)
     switched, _ = _integrate_batch(
-        device, np.full(cfg.trials, pulse.amplitude_ua), pulse.duration_ns, cfg, rng)
+        device, np.full(cfg.trials, pulse.amplitude_ua), pulse.duration_ns, cfg, [rng])
     return int(switched.sum()) / cfg.trials
 
 
@@ -482,11 +506,16 @@ def wer_from_psw(p_switch):
 # sweeps and fits
 
 
-def _sweep_point(args):
-    device, cfg, seed_key, amplitude, duration = args
-    rng = derive_stream(cfg.seed, seed_key)
-    p = estimate_psw(device, WritePulse(amplitude, duration), cfg, rng)
-    return WerPoint(amplitude, duration, cfg.trials, p)
+def _sweep_group(args):
+    """(point index, WerPoint) for pulses of one duration, as one batch."""
+    device, cfg, keyed = args
+    amps = np.repeat([pulse.amplitude_ua for _, pulse in keyed], cfg.trials)
+    rngs = [derive_stream(cfg.seed, i) for i, _ in keyed]
+    duration = keyed[0][1].duration_ns
+    switched, _ = _integrate_batch(device, amps, duration, cfg, rngs)
+    hits = switched.reshape(len(keyed), cfg.trials).sum(axis=1)
+    return [(i, WerPoint(pulse.amplitude_ua, duration, cfg.trials, int(h) / cfg.trials))
+            for (i, pulse), h in zip(keyed, hits)]
 
 
 def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
@@ -494,17 +523,26 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
     """Monte Carlo p_switch over the amplitude x duration grid.
 
     Each grid point gets a private stream derived from (cfg.seed, point
-    index), so the result is identical no matter how many workers run.
+    index), points in duration-major order.  The points of one duration
+    are split into min(workers, amplitudes) interleaved groups, and each
+    group is integrated as one batch in one task.  A point's estimate
+    depends only on its own stream, so the result is identical however
+    the points are grouped and however many workers run.
     """
-    tasks = [(device, cfg, i, float(a), float(d))
-             for i, (d, a) in enumerate(
-                 (d, a) for d in durations_ns for a in amplitudes_ua)]
+    amps = [float(a) for a in amplitudes_ua]
+    groups = min(max(1, workers), len(amps))
+    tasks = []
+    for di, d in enumerate(durations_ns):
+        keyed = [(di * len(amps) + ai, WritePulse(a, float(d)))
+                 for ai, a in enumerate(amps)]
+        tasks += [(device, cfg, keyed[g::groups]) for g in range(groups)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, tasks))
+            done = list(pool.map(_sweep_group, tasks))
     else:
-        points = [_sweep_point(t) for t in tasks]
-    return WerCurve(points)
+        done = [_sweep_group(t) for t in tasks]
+    indexed = dict(pair for group in done for pair in group)
+    return WerCurve([indexed[i] for i in range(len(indexed))])
 
 
 def fit_ln_wer(curve: WerCurve, duration_ns: float) -> LnWerFit:

@@ -9,6 +9,7 @@ from spinpad.arraymodel import CalibrationTable, MemoryTechnology, metrics_at_ca
 from spinpad.cli import _parse_float_list, main
 from spinpad.errors import ConfigError
 from spinpad.errortrain import TinyNetSpec, make_moons_dataset, train_reference
+from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
 
 
 def run_cli(*argv):
@@ -100,6 +101,21 @@ def test_out_of_range_capacity_exits_one(tmp_path):
                    "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("array-sweep", "--seed", "1"),
+    ("array-sweep", "--workers", "2"),
+    ("system-compare", "--seed", "1"),
+    ("system-compare", "--workers", "2"),
+    ("hetero-write", "--seed", "1"),
+    ("hetero-write", "--workers", "2"),
+    ("error-train", "--workers", "2"),
+])
+def test_flag_the_subcommand_does_not_read_exits_one(argv, tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- wer-sweep
 
 
@@ -170,6 +186,34 @@ def test_wer_sweep_zero_amplitude_never_switches(tmp_path):
 def test_wer_sweep_without_onset_exits_one(tmp_path):
     assert run_cli("wer-sweep", "--amplitudes", "1.0,2.0,3.0",
                    "--trials", "20", "--out", str(tmp_path / "o")) == 1
+
+
+# a 5 ns grid small enough to run twice, with five post-onset points
+_SMALL_WER = ("wer-sweep", "--durations", "5.0",
+              "--amplitudes", "110,120,130,140,150", "--trials", "20")
+
+
+@pytest.fixture(scope="module")
+def small_wer_runs(tmp_path_factory):
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path_factory.mktemp(f"wer-w{workers}")
+        assert run_cli(*_SMALL_WER, "--workers", str(workers),
+                       "--out", str(outs[workers])) == 0
+    return outs
+
+
+def test_wer_sweep_workers_byte_identical(small_wer_runs):
+    for data_file in ("sweep.csv", "ladder.json"):
+        assert filecmp.cmp(small_wer_runs[1] / data_file,
+                           small_wer_runs[2] / data_file, shallow=False)
+
+
+def test_wer_sweep_csv_reads_back_as_library_points(small_wer_runs):
+    back = WerCurve.from_csv(small_wer_runs[1] / "sweep.csv")
+    curve = run_wer_sweep(MtjDevice(), [110.0, 120.0, 130.0, 140.0, 150.0], [5.0],
+                          MagSimConfig(trials=20, seed=20240817))
+    assert back.points == curve.points
 
 
 # ----------------------------------------------------------- array-sweep

@@ -152,7 +152,7 @@ def test_zero_temp_batch_matches_non_retiring_heun():
     dev = default_device(temperature_k=0.0)
     amps = np.linspace(20.0, 100.0, 33)
     switched, times = _integrate_batch(dev, amps, 20.0, MagSimConfig(time_step_ps=1.0),
-                                       derive_stream(1))
+                                       None)
     ref = [heun_axial(*ORACLE_DEVICE, a, 1.15, 20.0, TILT_RAD) for a in amps]
     # the grid spans all three regimes: below I_c0 cos(tilt) the drive cannot
     # move m_z down, above it but below the 20 ns threshold the pulse is too
@@ -307,6 +307,51 @@ def test_wer_sweep_parallel_matches_serial():
     serial = run_wer_sweep(dev, [90.0, 120.0], [10.0], cfg, workers=1)
     parallel = run_wer_sweep(dev, [90.0, 120.0], [10.0], cfg, workers=2)
     assert serial.points == parallel.points
+
+
+# Two durations short enough that switching is still under way several
+# 512-step chunks in, so each point's active row count changes from chunk
+# to chunk; the 260 uA, 4 ns point runs out of rows while the others go on.
+_LAYOUT_AMPS = [180.0, 220.0, 260.0]
+_LAYOUT_DURATIONS = [2.0, 4.0]
+_LAYOUT_CFG = MagSimConfig(trials=40, seed=5, relax_time_ns=0.5)
+# p_switch of that grid as the point-by-point sweep computed it before
+# points of one duration were integrated as one batch
+_LAYOUT_PSW = [0.0, 0.075, 0.525, 0.85, 0.975, 1.0]
+
+
+def test_wer_sweep_matches_per_point_streams():
+    """Grouping points into batches consumes each point's stream as alone."""
+    dev = default_device()
+    grid = [(a, d) for d in _LAYOUT_DURATIONS for a in _LAYOUT_AMPS]
+    alone = [estimate_psw(dev, WritePulse(a, d), _LAYOUT_CFG,
+                          derive_stream(_LAYOUT_CFG.seed, i))
+             for i, (a, d) in enumerate(grid)]
+    for workers in (1, 2, 3):
+        curve = run_wer_sweep(dev, _LAYOUT_AMPS, _LAYOUT_DURATIONS, _LAYOUT_CFG,
+                              workers=workers)
+        assert [(p.amplitude_ua, p.duration_ns) for p in curve.points] == grid
+        assert [p.p_switch for p in curve.points] == alone, workers
+
+
+def test_wer_sweep_pinned_p_switch():
+    curve = run_wer_sweep(default_device(), _LAYOUT_AMPS, _LAYOUT_DURATIONS,
+                          _LAYOUT_CFG)
+    assert [p.p_switch for p in curve.points] == _LAYOUT_PSW
+
+
+def test_batch_switch_steps_pinned():
+    """Switch steps of the first 8 trials of each 4 ns point, batched together
+    (-1: no switch), as each point integrated alone gave them before."""
+    pinned = [[2566, 3874, 3936, 3457, -1, 2747, -1, 3019],
+              [1672, 2978, 3626, 2294, 3218, 2793, 2949, 2243],
+              [1643, 2115, 2109, 2203, 2133, 1658, 2420, 2092]]
+    trials = _LAYOUT_CFG.trials
+    rngs = [derive_stream(_LAYOUT_CFG.seed, i) for i in (3, 4, 5)]
+    _, times = _integrate_batch(default_device(), np.repeat(_LAYOUT_AMPS, trials),
+                                4.0, _LAYOUT_CFG, rngs)
+    steps = np.where(np.isnan(times), -1, np.round(times * 1e3)).astype(int)
+    assert steps.reshape(3, trials)[:, :8].tolist() == pinned
 
 
 def test_wer_curve_csv_roundtrip(tmp_path):
