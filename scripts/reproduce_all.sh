@@ -20,8 +20,7 @@ spinpad system-compare --config configs/compare_iso_capacity.json \
 spinpad system-compare --config configs/compare_iso_area.json \
     --workload configs/workload_vgg_toy.txt --out runs/compare-iso-area
 
-spinpad hetero-write --config configs/hetero_write.json \
-    --workload configs/workload_vgg_toy.txt --out runs/hetero-write
+spinpad hetero-write --config configs/hetero_write.json --out runs/hetero-write
 
 spinpad error-train --config configs/error_train_baseline.json \
     --out runs/train-baseline

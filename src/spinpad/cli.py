@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,17 +34,15 @@ from .dataflow import (
     FullyConnected,
     LayerSpec,
     load_workload,
-    simulate_iteration,
 )
 from .energy import (
     SegmentMap,
     SystemEnergyConfig,
     compare_iso_area,
     compare_iso_capacity,
-    hetero_system_write_improvement,
     hetero_write_energy,
 )
-from .errors import ConfigError, SpinpadError
+from .errors import ConfigError, InvalidParameterError, SpinpadError, config_from
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -55,6 +54,8 @@ from .magnetics import (
 
 _METRIC_FIELDS = ("capacity_kb", "area_mm2", "read_latency_ns", "write_latency_ns",
                   "read_energy_pj", "write_energy_pj", "leakage_mw", "wer")
+
+_ANCHOR_CAPACITIES_KB = (32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0)
 
 
 # --------------------------------------------------------------- file I/O
@@ -90,12 +91,9 @@ def _load_json_object(path: str) -> dict:
     return raw
 
 
-def _merge_section(defaults: dict, override: dict, valid: set[str],
-                   where: str) -> dict:
-    unknown = set(override) - valid
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
-    return {**defaults, **override}
+def _from_file(cls, path: str | None):
+    """A run config from its --config file, or the defaults without one."""
+    return config_from(cls, _load_json_object(path) if path else {}, path or "defaults")
 
 
 # -------------------------------------------------------- shared parsing
@@ -121,24 +119,17 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _tech_from_spec(spec, where: str) -> MemoryTechnology:
+    """A technology name, {"kind": name}, or an object of mram_custom factors."""
     if isinstance(spec, str):
         return MemoryTechnology.from_name(spec)
     if isinstance(spec, dict):
-        valid = {"kind", "write_latency_factor", "write_energy_factor", "wer"}
-        unknown = set(spec) - valid
-        if unknown:
-            raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
-        kind = spec.get("kind", TechnologyKind.MRAM_CUSTOM.value)
-        if kind == TechnologyKind.MRAM_CUSTOM.value:
-            return MemoryTechnology.custom(
-                spec.get("write_latency_factor", 1.0),
-                spec.get("write_energy_factor", 1.0),
-                spec.get("wer", 0.0),
-            )
-        if len(spec) > 1:
-            raise ConfigError(f"{where}: named technology {kind!r} carries no factors")
-        return MemoryTechnology.from_name(kind)
-    raise ConfigError(f"{where}: expected a name or an object")
+        spec = dict(spec)
+        kind = spec.pop("kind", TechnologyKind.MRAM_CUSTOM.value)
+        if kind != TechnologyKind.MRAM_CUSTOM.value:
+            if spec:
+                raise ConfigError(f"{where}: named technology {kind!r} carries no factors")
+            return MemoryTechnology.from_name(kind)
+    return config_from(MemoryTechnology, spec, where, kind=TechnologyKind.MRAM_CUSTOM)
 
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
@@ -154,10 +145,7 @@ def _layer_from_dict(raw: dict, where: str) -> LayerSpec:
     cls = {"conv": Conv, "fc": FullyConnected}.get(kind)
     if cls is None:
         raise ConfigError(f"{where}: unknown layer kind {kind!r}")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return config_from(cls, raw, where)
 
 
 def _workload_from_config(items, where: str) -> list[LayerSpec]:
@@ -166,9 +154,9 @@ def _workload_from_config(items, where: str) -> list[LayerSpec]:
     return [_layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
-def _table_from_config(cfg: dict) -> CalibrationTable:
-    path = cfg.get("calibration_csv")
-    return CalibrationTable.from_csv(path) if path else CalibrationTable.default()
+def _table(calibration_csv: str | None) -> CalibrationTable:
+    return (CalibrationTable.from_csv(calibration_csv) if calibration_csv
+            else CalibrationTable.default())
 
 
 def _default_workload() -> list[dict]:
@@ -184,57 +172,53 @@ def _default_workload() -> list[dict]:
     return [_layer_to_dict(l) for l in layers]
 
 
+# Each subcommand has one config dataclass: what its executor reads and
+# what its manifest records. config_from builds it from the --config file
+# or, on rerun, from the manifest; the resolver then sets the fields its
+# flags override.
+
 # ------------------------------------------------------------- wer-sweep
 
-_WER_CONFIG_KEYS = {"device", "simulation", "durations_ns", "amplitudes_ua",
-                    "workers"}
+
+@dataclass
+class _WerSweep:
+    device: MtjDevice = MtjDevice()
+    simulation: MagSimConfig = MagSimConfig(trials=200, seed=20240817)
+    durations_ns: tuple[float, ...] = (20.0,)
+    amplitudes_ua: tuple[float, ...] = (50.0, 56.0, 62.0, 68.0, 74.0)
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        self.durations_ns = tuple(map(float, self.durations_ns))
+        self.amplitudes_ua = tuple(map(float, self.amplitudes_ua))
+        self.workers = int(self.workers)
 
 
-def _resolve_wer_sweep(args) -> dict:
-    file_raw = _load_json_object(args.config) if args.config else {}
-    unknown = set(file_raw) - _WER_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}")
-    device = _merge_section(asdict(MtjDevice()), file_raw.get("device", {}),
-                            set(MtjDevice.__dataclass_fields__),
-                            "device")
-    sim_defaults = {**asdict(MagSimConfig()), "trials": 200, "seed": 20240817}
-    sim = _merge_section(sim_defaults, file_raw.get("simulation", {}),
-                         set(MagSimConfig.__dataclass_fields__), "simulation")
-    cfg = {
-        "device": device,
-        "simulation": sim,
-        "durations_ns": [float(d) for d in file_raw.get("durations_ns", [20.0])],
-        "amplitudes_ua": [float(a) for a in file_raw.get(
-            "amplitudes_ua", [50.0, 56.0, 62.0, 68.0, 74.0])],
-        "workers": int(file_raw.get("workers", 1)),
-    }
+def _resolve_wer_sweep(args) -> _WerSweep:
+    cfg = _from_file(_WerSweep, args.config)
     if args.durations is not None:
-        cfg["durations_ns"] = _parse_float_list(args.durations, "--durations")
+        cfg.durations_ns = tuple(_parse_float_list(args.durations, "--durations"))
     if args.amplitudes is not None:
-        cfg["amplitudes_ua"] = _parse_float_list(args.amplitudes, "--amplitudes")
+        cfg.amplitudes_ua = tuple(_parse_float_list(args.amplitudes, "--amplitudes"))
     if args.trials is not None:
-        cfg["simulation"]["trials"] = args.trials
+        cfg.simulation = replace(cfg.simulation, trials=args.trials)
     if args.seed is not None:
-        cfg["simulation"]["seed"] = args.seed
+        cfg.simulation = replace(cfg.simulation, seed=args.seed)
     if args.workers is not None:
-        cfg["workers"] = args.workers
+        cfg.workers = args.workers
     return cfg
 
 
-def _exec_wer_sweep(cfg: dict, out: Path) -> list[str]:
-    device = MtjDevice(**cfg["device"])
-    sim = MagSimConfig(**cfg["simulation"])
-    curve = run_wer_sweep(device, cfg["amplitudes_ua"], cfg["durations_ns"],
-                          sim, workers=cfg["workers"])
+def _exec_wer_sweep(cfg: _WerSweep, out: Path) -> list[str]:
+    curve = run_wer_sweep(cfg.device, cfg.amplitudes_ua, cfg.durations_ns,
+                          cfg.simulation, workers=cfg.workers)
     rows = [[_fmt(p.amplitude_ua), _fmt(p.duration_ns), p.trials,
              _fmt(p.p_switch), _fmt(p.ln_wer)] for p in curve.points]
     _write_csv(out / "sweep.csv",
                ["amplitude_uA", "duration_ns", "trials", "p_switch", "ln_wer"],
                rows)
     fits = []
-    for d in cfg["durations_ns"]:
+    for d in cfg.durations_ns:
         fit = fit_ln_wer(curve, d)
         ladder = amplitude_ladder(fit)
         fits.append({
@@ -255,38 +239,36 @@ def _exec_wer_sweep(cfg: dict, out: Path) -> list[str]:
 
 # ----------------------------------------------------------- array-sweep
 
-_ARRAY_CONFIG_KEYS = {"technologies", "capacities_kb", "calibration_csv"}
+
+@dataclass
+class _ArraySweep:
+    technologies: tuple = ("sram", "mram_base")
+    capacities_kb: tuple[float, ...] = _ANCHOR_CAPACITIES_KB
+    calibration_csv: str | None = None
+
+    def __post_init__(self) -> None:
+        self.capacities_kb = tuple(map(float, self.capacities_kb))
 
 
-def _resolve_array_sweep(args) -> dict:
-    file_raw = _load_json_object(args.config) if args.config else {}
-    unknown = set(file_raw) - _ARRAY_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}")
-    cfg = {
-        "technologies": list(file_raw.get("technologies", ["sram", "mram_base"])),
-        "capacities_kb": [float(c) for c in file_raw.get(
-            "capacities_kb", [32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0])],
-        "calibration_csv": file_raw.get("calibration_csv"),
-    }
+def _resolve_array_sweep(args) -> _ArraySweep:
+    cfg = _from_file(_ArraySweep, args.config)
     if args.technologies is not None:
-        cfg["technologies"] = [t.strip() for t in args.technologies.split(",")
-                               if t.strip()]
+        cfg.technologies = tuple(t.strip() for t in args.technologies.split(",")
+                                 if t.strip())
     if args.capacities is not None:
-        cfg["capacities_kb"] = _parse_float_list(args.capacities, "--capacities")
+        cfg.capacities_kb = tuple(_parse_float_list(args.capacities, "--capacities"))
     if args.calibration is not None:
-        cfg["calibration_csv"] = args.calibration
+        cfg.calibration_csv = args.calibration
     return cfg
 
 
-def _exec_array_sweep(cfg: dict, out: Path) -> list[str]:
-    table = _table_from_config(cfg)
+def _exec_array_sweep(cfg: _ArraySweep, out: Path) -> list[str]:
+    table = _table(cfg.calibration_csv)
     rows = []
-    for spec in cfg["technologies"]:
+    for spec in cfg.technologies:
         tech = _tech_from_spec(spec, "technologies")
         name = spec if isinstance(spec, str) else tech.kind.value
-        for cap in cfg["capacities_kb"]:
+        for cap in cfg.capacities_kb:
             m = metrics_at_capacity(table, tech, cap)
             rows.append([name] + [_fmt(getattr(m, f)) for f in _METRIC_FIELDS])
     _write_csv(out / "metrics.csv", ["technology", *_METRIC_FIELDS], rows)
@@ -295,53 +277,42 @@ def _exec_array_sweep(cfg: dict, out: Path) -> list[str]:
 
 # -------------------------------------------------------- system-compare
 
-_COMPARE_CONFIG_KEYS = {"workload", "mode", "sweep", "tech_a", "tech_b",
-                        "accelerator", "system", "calibration_csv"}
+
+@dataclass
+class _SystemCompare:
+    workload: list = field(default_factory=_default_workload)
+    mode: str = "iso-capacity"
+    sweep: tuple[float, ...] = _ANCHOR_CAPACITIES_KB
+    tech_a: str | dict = "sram"
+    tech_b: str | dict = "mram_base"
+    accelerator: AcceleratorConfig = AcceleratorConfig()
+    system: SystemEnergyConfig = SystemEnergyConfig()
+    calibration_csv: str | None = None
+
+    def __post_init__(self) -> None:
+        self.sweep = tuple(map(float, self.sweep))
+        if self.mode not in ("iso-capacity", "iso-area"):
+            raise InvalidParameterError(
+                f"mode must be iso-capacity or iso-area, got {self.mode!r}")
 
 
-def _resolve_system_compare(args) -> dict:
-    file_raw = _load_json_object(args.config) if args.config else {}
-    unknown = set(file_raw) - _COMPARE_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}")
-    accelerator = _merge_section(asdict(AcceleratorConfig()),
-                                 file_raw.get("accelerator", {}),
-                                 set(AcceleratorConfig.__dataclass_fields__),
-                                 "accelerator")
-    system = _merge_section(asdict(SystemEnergyConfig()),
-                            file_raw.get("system", {}),
-                            set(SystemEnergyConfig.__dataclass_fields__),
-                            "system")
-    cfg = {
-        "workload": file_raw.get("workload", _default_workload()),
-        "mode": file_raw.get("mode", "iso-capacity"),
-        "sweep": [float(v) for v in file_raw.get(
-            "sweep", [32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0])],
-        "tech_a": file_raw.get("tech_a", "sram"),
-        "tech_b": file_raw.get("tech_b", "mram_base"),
-        "accelerator": accelerator,
-        "system": system,
-        "calibration_csv": file_raw.get("calibration_csv"),
-    }
+def _resolve_system_compare(args) -> _SystemCompare:
+    cfg = _from_file(_SystemCompare, args.config)
     if args.workload is not None:
-        cfg["workload"] = [_layer_to_dict(l) for l in load_workload(args.workload)]
+        cfg.workload = [_layer_to_dict(l) for l in load_workload(args.workload)]
     if args.mode is not None:
-        cfg["mode"] = args.mode
+        cfg.mode = args.mode
     if args.sweep is not None:
-        cfg["sweep"] = _parse_float_list(args.sweep, "--sweep")
+        cfg.sweep = tuple(_parse_float_list(args.sweep, "--sweep"))
     if args.tech_a is not None:
-        cfg["tech_a"] = args.tech_a
+        cfg.tech_a = args.tech_a
     if args.tech_b is not None:
-        cfg["tech_b"] = args.tech_b
+        cfg.tech_b = args.tech_b
     if args.system is not None:
-        cfg["system"] = _merge_section(
-            asdict(SystemEnergyConfig()), _load_json_object(args.system),
-            set(SystemEnergyConfig.__dataclass_fields__), args.system)
+        cfg.system = config_from(SystemEnergyConfig,
+                                 _load_json_object(args.system), args.system)
     if args.calibration is not None:
-        cfg["calibration_csv"] = args.calibration
-    if cfg["mode"] not in ("iso-capacity", "iso-area"):
-        raise ConfigError(f"mode must be iso-capacity or iso-area, got {cfg['mode']!r}")
+        cfg.calibration_csv = args.calibration
     return cfg
 
 
@@ -350,29 +321,27 @@ _COMPARE_HEADER = ["index", "mode", "sweep_value", "status", "detail",
                    "improvement", "dram_elements_a", "dram_elements_b"]
 
 
-def _exec_system_compare(cfg: dict, out: Path) -> list[str]:
-    workload = _workload_from_config(cfg["workload"], "workload")
-    acc = AcceleratorConfig(**cfg["accelerator"])
-    sysc = SystemEnergyConfig(**cfg["system"])
-    table = _table_from_config(cfg)
-    tech_a = _tech_from_spec(cfg["tech_a"], "tech_a")
-    tech_b = _tech_from_spec(cfg["tech_b"], "tech_b")
-    compare = (compare_iso_capacity if cfg["mode"] == "iso-capacity"
+def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
+    workload = _workload_from_config(cfg.workload, "workload")
+    table = _table(cfg.calibration_csv)
+    tech_a = _tech_from_spec(cfg.tech_a, "tech_a")
+    tech_b = _tech_from_spec(cfg.tech_b, "tech_b")
+    compare = (compare_iso_capacity if cfg.mode == "iso-capacity"
                else compare_iso_area)
     rows, points, failures = [], [], 0
-    for i, value in enumerate(cfg["sweep"]):
+    for i, value in enumerate(cfg.sweep):
         try:
-            pt = compare(workload, acc, value, tech_a, tech_b,
-                         table=table, sys=sysc)
+            pt = compare(workload, cfg.accelerator, value, tech_a, tech_b,
+                         table=table, sys=cfg.system)
         except SpinpadError as exc:
             failures += 1
-            rows.append([i, cfg["mode"], _fmt(value), "error", str(exc),
+            rows.append([i, cfg.mode, _fmt(value), "error", str(exc),
                          "", "", "", "", "", "", ""])
             points.append({"index": i, "sweep_value": value,
                            "status": "error", "detail": str(exc)})
             continue
         rows.append([
-            i, cfg["mode"], _fmt(value), "ok", "",
+            i, cfg.mode, _fmt(value), "ok", "",
             _fmt(pt.capacity_a_kb), _fmt(pt.capacity_b_kb),
             _fmt(pt.report_a.total_nj), _fmt(pt.report_b.total_nj),
             _fmt(pt.improvement), pt.dram_elements_a, pt.dram_elements_b,
@@ -390,87 +359,54 @@ def _exec_system_compare(cfg: dict, out: Path) -> list[str]:
             "tech_b": pt.report_b.as_dict(),
         })
     _write_csv(out / "compare.csv", _COMPARE_HEADER, rows)
-    _write_json(out / "breakdown.json", {"mode": cfg["mode"], "points": points})
-    if failures == len(cfg["sweep"]):
+    _write_json(out / "breakdown.json", {"mode": cfg.mode, "points": points})
+    if failures == len(cfg.sweep):
         raise RuntimeError("every sweep point failed; see compare.csv")
     return ["compare.csv", "breakdown.json"]
 
 
 # ---------------------------------------------------------- hetero-write
 
-_HETERO_CONFIG_KEYS = {"sign_mode", "exponent_mode", "mantissa_mode",
-                       "mantissa_bits", "bit_energy_pj", "workload",
-                       "capacity_kb", "accelerator", "calibration_csv"}
+
+@dataclass
+class _HeteroWrite:
+    sign_mode: str | dict = "mram_base"
+    exponent_mode: str | dict = "mram_base"
+    mantissa_mode: str | dict = "mram_low_duration"
+    mantissa_bits: int = 23
+    bit_energy_pj: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.mantissa_bits = int(self.mantissa_bits)
+        self.bit_energy_pj = float(self.bit_energy_pj)
 
 
-def _resolve_hetero_write(args) -> dict:
-    file_raw = _load_json_object(args.config) if args.config else {}
-    unknown = set(file_raw) - _HETERO_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}")
-    accelerator = _merge_section(asdict(AcceleratorConfig()),
-                                 file_raw.get("accelerator", {}),
-                                 set(AcceleratorConfig.__dataclass_fields__),
-                                 "accelerator")
-    cfg = {
-        "sign_mode": file_raw.get("sign_mode", "mram_base"),
-        "exponent_mode": file_raw.get("exponent_mode", "mram_base"),
-        "mantissa_mode": file_raw.get("mantissa_mode", "mram_low_duration"),
-        "mantissa_bits": int(file_raw.get("mantissa_bits", 23)),
-        "bit_energy_pj": float(file_raw.get("bit_energy_pj", 1.0)),
-        "workload": file_raw.get("workload", _default_workload()),
-        "capacity_kb": float(file_raw.get("capacity_kb", 1024.0)),
-        "accelerator": accelerator,
-        "calibration_csv": file_raw.get("calibration_csv"),
-    }
+def _resolve_hetero_write(args) -> _HeteroWrite:
+    cfg = _from_file(_HeteroWrite, args.config)
     if args.mantissa_bits is not None:
-        cfg["mantissa_bits"] = args.mantissa_bits
+        cfg.mantissa_bits = args.mantissa_bits
     if args.bit_energy is not None:
-        cfg["bit_energy_pj"] = args.bit_energy
-    if args.workload is not None:
-        cfg["workload"] = [_layer_to_dict(l) for l in load_workload(args.workload)]
-    if args.capacity is not None:
-        cfg["capacity_kb"] = args.capacity
-    if args.calibration is not None:
-        cfg["calibration_csv"] = args.calibration
+        cfg.bit_energy_pj = args.bit_energy
     return cfg
 
 
-def _exec_hetero_write(cfg: dict, out: Path) -> list[str]:
-    sign = _tech_from_spec(cfg["sign_mode"], "sign_mode")
-    exponent = _tech_from_spec(cfg["exponent_mode"], "exponent_mode")
-    mantissa = _tech_from_spec(cfg["mantissa_mode"], "mantissa_mode")
-
-    rows = []
-    for bits in range(24):
-        seg = SegmentMap(sign=sign, exponent=exponent, mantissa=mantissa,
-                         mantissa_bits_on_optimized=bits)
-        res = hetero_write_energy(seg, cfg["bit_energy_pj"])
-        rows.append([bits, _fmt(res.word_energy_factor),
-                     _fmt(res.per_word_energy_pj), _fmt(res.improvement)])
+def _exec_hetero_write(cfg: _HeteroWrite, out: Path) -> list[str]:
+    segments = [_tech_from_spec(getattr(cfg, name), name)
+                for name in ("sign_mode", "exponent_mode", "mantissa_mode")]
+    # every split is built and checked before the first file is written
+    *sweep, chosen = [hetero_write_energy(SegmentMap(*segments, bits), cfg.bit_energy_pj)
+                      for bits in (*range(24), cfg.mantissa_bits)]
     _write_csv(out / "hetero.csv",
                ["mantissa_bits", "word_energy_factor", "per_word_energy_pj",
-                "improvement"], rows)
-
-    seg = SegmentMap(sign=sign, exponent=exponent, mantissa=mantissa,
-                     mantissa_bits_on_optimized=cfg["mantissa_bits"])
-    res = hetero_write_energy(seg, cfg["bit_energy_pj"])
-    payload = {
-        "mantissa_bits": cfg["mantissa_bits"],
-        "word_energy_factor": res.word_energy_factor,
-        "per_word_energy_pj": res.per_word_energy_pj,
-        "improvement": res.improvement,
-    }
-    workload = _workload_from_config(cfg["workload"], "workload")
-    acc = AcceleratorConfig(**cfg["accelerator"])
-    table = _table_from_config(cfg)
-    trace = simulate_iteration(workload, acc)
-    m = metrics_at_capacity(table, MemoryTechnology.mram_base(),
-                            cfg["capacity_kb"])
-    payload["system_write_improvement"] = hetero_system_write_improvement(
-        trace, m, m, m, seg)
-    _write_json(out / "hetero.json", payload)
+                "improvement"],
+               [[bits, _fmt(res.word_energy_factor), _fmt(res.per_word_energy_pj),
+                 _fmt(res.improvement)] for bits, res in enumerate(sweep)])
+    _write_json(out / "hetero.json", {
+        "mantissa_bits": cfg.mantissa_bits,
+        "word_energy_factor": chosen.word_energy_factor,
+        "per_word_energy_pj": chosen.per_word_energy_pj,
+        "improvement": chosen.improvement,
+    })
     return ["hetero.csv", "hetero.json"]
 
 
@@ -495,17 +431,24 @@ _DEFAULT_EXPERIMENT = {
 }
 
 
-def _resolve_error_train(args) -> dict:
+@dataclass
+class _ErrorTrain:
+    experiment: dict  # the flat schema of errortrain.experiment_from_dict
+
+    def __post_init__(self) -> None:
+        experiment_from_dict(self.experiment)
+
+
+def _resolve_error_train(args) -> _ErrorTrain:
     raw = (_load_json_object(args.config) if args.config
-           else json.loads(json.dumps(_DEFAULT_EXPERIMENT)))
+           else copy.deepcopy(_DEFAULT_EXPERIMENT))
     if args.seed is not None:
         raw["seeds"] = [args.seed]
-    experiment_from_dict(raw, where=args.config or "defaults")  # validate now
-    return {"experiment": raw}
+    return config_from(_ErrorTrain, {"experiment": raw}, args.config or "defaults")
 
 
-def _exec_error_train(cfg: dict, out: Path) -> list[str]:
-    exp = experiment_from_dict(cfg["experiment"])
+def _exec_error_train(cfg: _ErrorTrain, out: Path) -> list[str]:
+    exp = experiment_from_dict(cfg.experiment)
     results = run_experiment(exp)
     rows = []
     for seed in exp.seeds:
@@ -533,38 +476,31 @@ def _exec_error_train(cfg: dict, out: Path) -> list[str]:
 
 # ------------------------------------------------------------- dispatch
 
-_EXECUTORS = {
-    "wer-sweep": _exec_wer_sweep,
-    "array-sweep": _exec_array_sweep,
-    "system-compare": _exec_system_compare,
-    "hetero-write": _exec_hetero_write,
-    "error-train": _exec_error_train,
-}
-
-_RESOLVERS = {
-    "wer-sweep": _resolve_wer_sweep,
-    "array-sweep": _resolve_array_sweep,
-    "system-compare": _resolve_system_compare,
-    "hetero-write": _resolve_hetero_write,
-    "error-train": _resolve_error_train,
+# subcommand -> (config dataclass, resolver from the flags, executor)
+_COMMANDS = {
+    "wer-sweep": (_WerSweep, _resolve_wer_sweep, _exec_wer_sweep),
+    "array-sweep": (_ArraySweep, _resolve_array_sweep, _exec_array_sweep),
+    "system-compare": (_SystemCompare, _resolve_system_compare,
+                       _exec_system_compare),
+    "hetero-write": (_HeteroWrite, _resolve_hetero_write, _exec_hetero_write),
+    "error-train": (_ErrorTrain, _resolve_error_train, _exec_error_train),
 }
 
 
-def _manifest_seed(command: str, cfg: dict):
-    if command == "wer-sweep":
-        return cfg["simulation"]["seed"]
-    if command == "error-train":
-        return list(cfg["experiment"].get("seeds", []))
+def _manifest_seed(cfg):
+    if isinstance(cfg, _WerSweep):
+        return cfg.simulation.seed
+    if isinstance(cfg, _ErrorTrain):
+        return list(cfg.experiment.get("seeds", []))
     return None
 
 
-def _write_manifest(out: Path, command: str, cfg: dict,
-                    outputs: list[str]) -> None:
+def _write_manifest(out: Path, command: str, cfg, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": _manifest_seed(command, cfg),
-        "config": cfg,
+        "seed": _manifest_seed(cfg),
+        "config": asdict(cfg),
         "outputs": outputs,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
@@ -572,9 +508,9 @@ def _write_manifest(out: Path, command: str, cfg: dict,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _run_command(command: str, cfg: dict, out: Path) -> int:
+def _run_command(command: str, cfg, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _EXECUTORS[command](cfg, out)
+    outputs = _COMMANDS[command][2](cfg, out)
     _write_manifest(out, command, cfg, outputs)
     print(f"{command}: wrote {', '.join(outputs)} and manifest.json to {out}")
     return 0
@@ -587,10 +523,11 @@ def _cmd_rerun(args) -> int:
         if key not in raw:
             raise ConfigError(f"{manifest_path}: missing manifest key {key!r}")
     command = raw["command"]
-    if command not in _EXECUTORS:
+    if command not in _COMMANDS:
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
+    cfg = config_from(_COMMANDS[command][0], raw["config"], f"{manifest_path}: config")
     out = Path(args.out) if args.out else manifest_path.parent
-    return _run_command(command, raw["config"], out)
+    return _run_command(command, cfg, out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -645,10 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mantissa bits on the optimized array")
     p.add_argument("--bit-energy", dest="bit_energy", type=float,
                    help="base write energy per bit, pJ")
-    p.add_argument("--workload", help="workload file for the system estimate")
-    p.add_argument("--capacity", type=float,
-                   help="scratchpad capacity KB for the system estimate")
-    p.add_argument("--calibration", help="calibration CSV replacing built-ins")
 
     p = sub.add_parser("error-train",
                        help="train the desk-scale MLP under write errors")
@@ -671,7 +604,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
-        cfg = _RESOLVERS[args.command](args)
+        cfg = _COMMANDS[args.command][1](args)
         return _run_command(args.command, cfg, Path(args.out))
     except ValueError as exc:  # ConfigError, InvalidParameterError, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -20,19 +20,16 @@ every streamed access goes there instead. Weight gradients live in the error
 buffer; the loss gradient at the top of the network materializes in place,
 free of charge.
 
-DRAM read/write counts in the trace are in elements; time and energy models
-divide by a configurable burst width.
+DRAM read/write counts in the trace are in elements; the energy model
+(energy.estimate_energy) divides them by a configurable burst width.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .arraymodel import ArrayMetrics
 from .errors import ConfigError, InvalidLayerError, InvalidParameterError, NotAGemmError
 
 
@@ -48,10 +45,6 @@ class Store(str, Enum):
     WEIGHT = "weight"
     ERROR = "error"
     DRAM = "dram"
-
-
-PHASE_ORDER = tuple(Phase)
-STORE_ORDER = tuple(Store)
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,6 @@ LayerSpec = Conv | FullyConnected
 class AcceleratorConfig:
     rows: int = 256
     cols: int = 256
-    clock_ghz: float = 1.0
     activation_buffer_kb: float = 1024.0
     weight_buffer_kb: float = 1024.0
     error_buffer_kb: float = 1024.0
@@ -105,8 +97,6 @@ class AcceleratorConfig:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise InvalidParameterError("array dimensions must be >= 1")
-        if self.clock_ghz <= 0:
-            raise InvalidParameterError("clock must be positive")
         for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
@@ -258,23 +248,6 @@ class AccessTrace:
         return sum(v[1] for k, v in self.accesses.items()
                    if k[1] == phase and k[2] == store)
 
-    def layer_count(self) -> int:
-        return max((k[0] for k in self.accesses), default=0)
-
-    def sorted_items(self):
-        return sorted(
-            self.accesses.items(),
-            key=lambda kv: (kv[0][0], PHASE_ORDER.index(kv[0][1]),
-                            STORE_ORDER.index(kv[0][2])),
-        )
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "phase", "store", "reads", "writes"])
-            for (layer, phase, store), (reads, writes) in self.sorted_items():
-                writer.writerow([layer, phase.value, store.value, reads, writes])
-
 
 @dataclass
 class _Tensor:
@@ -391,22 +364,6 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
         trace.set_compute(l, Phase.WEIGHT_UPDATE, 0, 0)
 
     return trace
-
-
-def total_time(trace: AccessTrace, cfg: AcceleratorConfig,
-               act: ArrayMetrics, wt: ArrayMetrics, err: ArrayMetrics,
-               dram_latency_ns: float,
-               dram_burst_elements: int = 16) -> float:
-    """Fully serialized iteration time in ns: compute, every access, no overlap."""
-    if dram_latency_ns < 0 or dram_burst_elements < 1:
-        raise InvalidParameterError("bad DRAM timing parameters")
-    time_ns = trace.total_cycles() / cfg.clock_ghz
-    for store, metrics in ((Store.ACTIVATION, act), (Store.WEIGHT, wt),
-                           (Store.ERROR, err)):
-        time_ns += trace.reads(store) * metrics.read_latency_ns
-        time_ns += trace.writes(store) * metrics.write_latency_ns
-    time_ns += trace.dram_elements() / dram_burst_elements * dram_latency_ns
-    return time_ns
 
 
 def _require_keys(tokens: dict[str, int], required: tuple[str, ...],

@@ -18,9 +18,7 @@ segment's array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .arraymodel import (
     ArrayMetrics,
@@ -37,7 +35,7 @@ from .dataflow import (
     Store,
     simulate_iteration,
 )
-from .errors import ConfigError, InvalidParameterError
+from .errors import InvalidParameterError
 
 SIGN_BITS = 1
 EXPONENT_BITS = 8
@@ -52,7 +50,7 @@ class SystemEnergyConfig:
     dram_energy_per_access_nj: float = 10.0  # per burst-sized (64 B) access
     dram_latency_ns: float = 50.0
     mac_energy_pj: float = 2.0
-    clock_ghz: float = 1.0
+    clock_ghz: float = 1.0  # the accelerator clock, the only one the models read
     dram_burst_elements: int = 16
 
     def __post_init__(self) -> None:
@@ -62,25 +60,6 @@ class SystemEnergyConfig:
                 raise InvalidParameterError(f"{name} must be positive")
         if self.dram_burst_elements < 1:
             raise InvalidParameterError("dram_burst_elements must be >= 1")
-
-
-def load_system_config(path: str | Path) -> SystemEnergyConfig:
-    """Read a SystemEnergyConfig from a flat JSON object with strict keys."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    valid = set(SystemEnergyConfig.__dataclass_fields__)
-    unknown = set(raw) - valid
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(sorted(unknown))}")
-    try:
-        return SystemEnergyConfig(**raw)
-    except (TypeError, InvalidParameterError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -278,31 +257,3 @@ def hetero_write_energy(seg: SegmentMap, base_bit_energy_pj: float) -> HeteroWri
     factor = seg.word_energy_factor()
     per_word = WORD_BITS * base_bit_energy_pj * factor
     return HeteroWriteResult(per_word, factor, 1.0 / factor)
-
-
-def scratchpad_write_energy_nj(trace: AccessTrace, act: ArrayMetrics,
-                               wt: ArrayMetrics, err: ArrayMetrics) -> float:
-    """Total on-chip write energy of a trace (DRAM writes excluded)."""
-    total_pj = 0.0
-    for store, metrics in ((Store.ACTIVATION, act), (Store.WEIGHT, wt),
-                           (Store.ERROR, err)):
-        total_pj += trace.writes(store) * metrics.write_energy_pj
-    return total_pj / 1e3
-
-
-def hetero_system_write_improvement(
-    trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
-    err: ArrayMetrics, seg: SegmentMap,
-) -> float:
-    """System write-energy improvement from segment-mapping every scratchpad."""
-    base = scratchpad_write_energy_nj(trace, act, wt, err)
-    if base == 0.0:
-        return 1.0
-    factor = seg.word_energy_factor()
-    mapped = scratchpad_write_energy_nj(
-        trace,
-        replace(act, write_energy_pj=act.write_energy_pj * factor),
-        replace(wt, write_energy_pj=wt.write_energy_pj * factor),
-        replace(err, write_energy_pj=err.write_energy_pj * factor),
-    )
-    return base / mapped

@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator layers."""
+"""Exception types shared across the simulator layers, and the one strict
+constructor that builds every config object from its JSON section."""
+
+from dataclasses import fields, is_dataclass, replace
 
 
 class SpinpadError(Exception):
@@ -35,3 +38,30 @@ class InvalidLayerError(SpinpadError, ValueError):
 
 class NotAGemmError(SpinpadError, ValueError):
     """The requested phase has no systolic GEMM view (vector-path only)."""
+
+
+def config_from(base, section, where: str, **fixed):
+    """Build a config dataclass from one JSON object section, strictly.
+
+    base is the dataclass, or an instance of it whose values are the
+    defaults; the section's keys are laid over them. `fixed` holds fields
+    the caller has built itself, which the section may not set. A field
+    whose default is itself a config object takes a nested section, built
+    the same way. A section that is not an object, a key that names no
+    field, and every error of construction are raised as ConfigError
+    prefixed with `where`, the key path of the section.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
+    unknown = set(section) - {f.name for f in fields(base)} - set(fixed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+    values = dict(fixed)
+    for key, value in section.items():
+        default = getattr(base, key, None)
+        nested = is_dataclass(default) and not isinstance(default, type)
+        values[key] = config_from(default, value, f"{where}: {key}") if nested else value
+    try:
+        return base(**values) if isinstance(base, type) else replace(base, **values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None

@@ -17,14 +17,12 @@ of (network spec, dataset, binding, seed) regardless of execution order.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, config_from
 from .magnetics import derive_stream
 
 SIGN_BIT = 31
@@ -69,9 +67,9 @@ class SegmentErrorConfig:
 class BufferErrorBinding:
     """Which write-error config applies to each of the three scratchpads."""
 
-    activations: SegmentErrorConfig = field(default_factory=SegmentErrorConfig)
-    weights: SegmentErrorConfig = field(default_factory=SegmentErrorConfig)
-    errors: SegmentErrorConfig = field(default_factory=SegmentErrorConfig)
+    activations: SegmentErrorConfig = SegmentErrorConfig()
+    weights: SegmentErrorConfig = SegmentErrorConfig()
+    errors: SegmentErrorConfig = SegmentErrorConfig()
 
     @property
     def is_zero(self) -> bool:
@@ -192,6 +190,7 @@ class TinyNetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         if len(self.layer_sizes) < 2:
             raise InvalidParameterError("need at least input and output sizes")
         if any(s < 1 for s in self.layer_sizes):
@@ -463,7 +462,7 @@ class ExperimentConfig:
     """One error-resilience experiment: net, task, binding, seed list."""
 
     net: TinyNetSpec
-    binding: BufferErrorBinding
+    binding: BufferErrorBinding = BufferErrorBinding()
     seeds: tuple[int, ...] = (1, 2, 3)
     n_train: int = 400
     n_test: int = 200
@@ -471,6 +470,7 @@ class ExperimentConfig:
     dataset_seed: int = 7
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise InvalidParameterError("need at least one seed")
         if self.n_train < 1 or self.n_test < 1:
@@ -483,58 +483,14 @@ class ExperimentConfig:
                                   self.dataset_seed)
 
 
-def _segment_from_dict(raw: dict, where: str) -> SegmentErrorConfig:
-    valid = set(SegmentErrorConfig.__dataclass_fields__)
-    unknown = set(raw) - valid
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
-    try:
-        return SegmentErrorConfig(**raw)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def experiment_from_dict(raw: dict, where: str = "experiment") -> ExperimentConfig:
+def experiment_from_dict(raw, where: str = "experiment") -> ExperimentConfig:
     """Experiment schema: net fields at top level, binding nested per buffer."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    raw = dict(raw)
-    binding_raw = raw.pop("binding", {})
-    if not isinstance(binding_raw, dict):
-        raise ConfigError(f"{where}: binding must be an object")
-    unknown = set(binding_raw) - {"activations", "weights", "errors"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown binding key(s) {', '.join(sorted(unknown))}")
-    binding = BufferErrorBinding(**{
-        buf: _segment_from_dict(cfg, f"{where}: binding.{buf}")
-        for buf, cfg in binding_raw.items()
-    })
-
-    net_fields = set(TinyNetSpec.__dataclass_fields__)
-    net_raw = {k: raw.pop(k) for k in list(raw) if k in net_fields}
-    if "layer_sizes" in net_raw:
-        net_raw["layer_sizes"] = tuple(net_raw["layer_sizes"])
-    exp_fields = set(ExperimentConfig.__dataclass_fields__) - {"net", "binding"}
-    exp_raw = {k: raw.pop(k) for k in list(raw) if k in exp_fields}
-    if "seeds" in exp_raw:
-        exp_raw["seeds"] = tuple(exp_raw["seeds"])
-    if raw:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(raw))}")
-    try:
-        return ExperimentConfig(net=TinyNetSpec(**net_raw), binding=binding,
-                                **exp_raw)
-    except (TypeError, InvalidParameterError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def load_experiment(path: str | Path) -> ExperimentConfig:
-    """Read an experiment config from a JSON file."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return experiment_from_dict(raw, where=str(path))
+        raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
+    net_keys = {f.name for f in fields(TinyNetSpec)}
+    net = config_from(TinyNetSpec, {k: v for k, v in raw.items() if k in net_keys}, where)
+    rest = {k: v for k, v in raw.items() if k not in net_keys}
+    return config_from(ExperimentConfig, rest, where, net=net)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[int, TrainingResult]:

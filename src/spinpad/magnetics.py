@@ -53,14 +53,12 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import functools
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     InsufficientDataError,
     InvalidFitError,
     InvalidParameterError,
@@ -203,13 +201,6 @@ class WerCurve:
 
     points: list[WerPoint] = field(default_factory=list)
 
-    def durations(self) -> list[float]:
-        seen: list[float] = []
-        for p in self.points:
-            if not any(abs(p.duration_ns - d) < 1e-9 for d in seen):
-                seen.append(p.duration_ns)
-        return seen
-
     def at_duration(self, duration_ns: float) -> list[WerPoint]:
         pts = [p for p in self.points if abs(p.duration_ns - duration_ns) < 1e-9]
         return sorted(pts, key=lambda p: p.amplitude_ua)
@@ -222,14 +213,6 @@ class WerCurve:
         raise InsufficientDataError(
             f"no point reaches p_switch >= 0.5 at duration {duration_ns} ns"
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["amplitude_uA", "duration_ns", "trials", "p_switch", "ln_wer"])
-            for p in self.points:
-                w.writerow([repr(p.amplitude_ua), repr(p.duration_ns), p.trials,
-                            repr(p.p_switch), repr(p.ln_wer)])
 
     @classmethod
     def from_csv(cls, path) -> "WerCurve":
@@ -529,8 +512,10 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
     depends only on its own stream, so the result is identical however
     the points are grouped and however many workers run.
     """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     amps = [float(a) for a in amplitudes_ua]
-    groups = min(max(1, workers), len(amps))
+    groups = min(workers, len(amps))
     tasks = []
     for di, d in enumerate(durations_ns):
         keyed = [(di * len(amps) + ai, WritePulse(a, float(d)))
@@ -617,46 +602,3 @@ def find_switching_threshold(device: MtjDevice, duration_ns: float, cfg: MagSimC
         first = int(np.argmax(switched))
         lo_ua, hi_ua = float(grid[first - 1]), float(grid[first])
     return 0.5 * (lo_ua + hi_ua)
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-
-_DEVICE_FIELDS = {f.name for f in fields(MtjDevice)}
-_SIM_FIELDS = {f.name for f in fields(MagSimConfig)}
-
-
-def load_device_config(path) -> tuple[MtjDevice, MagSimConfig]:
-    """JSON config with optional "device" and "simulation" sections.
-
-    Unknown keys are rejected by name so typos fail loudly.
-    """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    extra = set(raw) - {"device", "simulation"}
-    if extra:
-        raise ConfigError(f"{path}: unknown sections {sorted(extra)}")
-    dev_raw = raw.get("device", {})
-    sim_raw = raw.get("simulation", {})
-    bad = set(dev_raw) - _DEVICE_FIELDS
-    if bad:
-        raise ConfigError(f"{path}: unknown device keys {sorted(bad)}")
-    bad = set(sim_raw) - _SIM_FIELDS
-    if bad:
-        raise ConfigError(f"{path}: unknown simulation keys {sorted(bad)}")
-    try:
-        return MtjDevice(**dev_raw), MagSimConfig(**sim_raw)
-    except InvalidParameterError as e:
-        raise ConfigError(f"{path}: {e}") from e
-
-
-def merge_sim_config(cfg: MagSimConfig, **overrides) -> MagSimConfig:
-    """Apply non-None overrides (flag > file > default precedence helper)."""
-    actual = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **actual) if actual else cfg

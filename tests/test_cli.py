@@ -2,14 +2,18 @@ import csv
 import filecmp
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from spinpad.arraymodel import CalibrationTable, MemoryTechnology, metrics_at_capacity
-from spinpad.cli import _parse_float_list, main
+from spinpad.cli import _COMMANDS, _parse_float_list, build_parser, main
 from spinpad.errors import ConfigError
 from spinpad.errortrain import TinyNetSpec, make_moons_dataset, train_reference
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def run_cli(*argv):
@@ -89,11 +93,19 @@ def test_malformed_config_json_exits_one(tmp_path):
                    "--out", str(tmp_path / "o")) == 1
 
 
-def test_unknown_config_key_exits_one(tmp_path):
+def test_unknown_config_key_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"capacitees_kb": [32.0]}))
     assert run_cli("array-sweep", "--config", str(bad),
                    "--out", str(tmp_path / "o")) == 1
+    # a section that is not an object is named, not taken apart
+    for section in ([1, 2], "abc"):
+        bad.write_text(json.dumps({"device": section}))
+        capsys.readouterr()
+        assert run_cli("wer-sweep", "--config", str(bad),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "device: expected an object" in err, err
 
 
 def test_out_of_range_capacity_exits_one(tmp_path):
@@ -114,6 +126,29 @@ def test_flag_the_subcommand_does_not_read_exits_one(argv, tmp_path):
     out = tmp_path / "o"
     assert run_cli(*argv, "--out", str(out)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_worker_count_below_one_exits_one(how, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    argv = ["--workers", "-4"] if how == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert run_cli("wer-sweep", "--trials", "1", *argv, "--out", str(out)) == 1
+    assert not (out / "sweep.csv").exists()
+
+
+_CONFIG_COMMANDS = {"wer_sweep_": "wer-sweep", "compare_": "system-compare",
+                    "hetero_write": "hetero-write", "error_train_": "error-train"}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_config_resolves(path):
+    """Each bundled config passes its subcommand's resolver, without a run."""
+    (command,) = [c for prefix, c in _CONFIG_COMMANDS.items()
+                  if path.name.startswith(prefix)]
+    args = build_parser().parse_args([command, "--config", str(path)])
+    _COMMANDS[command][1](args)
 
 
 # ------------------------------------------------------------- wer-sweep
@@ -313,6 +348,15 @@ def test_system_compare_workload_file_embedded_in_manifest(tmp_path):
     assert_rerun_identical(out, tmp_path)
 
 
+def test_system_compare_rejects_accelerator_clock(tmp_path, capsys):
+    # the one clock is the system config's; the accelerator has none
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"accelerator": {"clock_ghz": 4.0}}))
+    assert run_cli("system-compare", "--config", str(cfg), "--sweep", "32.0",
+                   "--out", str(tmp_path / "o")) == 1
+    assert "accelerator: unknown key(s) clock_ghz" in capsys.readouterr().err
+
+
 def test_system_compare_rerun_byte_identical(tmp_path):
     out = tmp_path / "o"
     assert run_cli("system-compare", "--sweep", "32.0,183.0",
@@ -334,15 +378,22 @@ def test_hetero_write_sweeps_all_mantissa_splits(tmp_path):
     assert abs(factors[23] - 0.56875) < 1e-12
 
 
-def test_hetero_write_json_reports_system_improvement(tmp_path):
+def test_hetero_write_json_reports_word_improvement(tmp_path):
     out = tmp_path / "o"
     assert run_cli("hetero-write", "--out", str(out)) == 0
     doc = read_json(out / "hetero.json")
+    assert sorted(doc) == ["improvement", "manifest", "mantissa_bits",
+                           "per_word_energy_pj", "word_energy_factor"]
     assert doc["mantissa_bits"] == 23
     assert doc["improvement"] == pytest.approx(1.0 / 0.56875)
-    # uniform remapping of every scratchpad scales write energy by the factor
-    assert doc["system_write_improvement"] == pytest.approx(1.0 / 0.56875)
-    assert doc["system_write_improvement"] >= 1.7
+
+
+def test_hetero_write_invalid_split_writes_nothing(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mantissa_bits": 30}))
+    out = tmp_path / "o"
+    assert run_cli("hetero-write", "--config", str(cfg), "--out", str(out)) == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_hetero_write_flag_overrides_bits(tmp_path):
@@ -459,6 +510,19 @@ def test_rerun_rejects_unknown_command(tmp_path):
     bad.write_text(json.dumps({"command": "frobnicate", "config": {},
                                "outputs": []}))
     assert run_cli("rerun", str(bad)) == 1
+
+
+@pytest.mark.parametrize("key", ["bogus", "clock_ghz"])
+def test_rerun_validates_manifest_config(key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("system-compare", "--sweep", "32.0", "--out", str(out)) == 0
+    manifest = read_manifest(out)
+    manifest["config"]["accelerator"][key] = 1
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("rerun", str(bad), "--out", str(tmp_path / "replay")) == 1
+    assert f"config: accelerator: unknown key(s) {key}" in capsys.readouterr().err
 
 
 def test_rerun_defaults_to_manifest_directory(tmp_path):

@@ -10,7 +10,6 @@ from oracles import brute_force_gemm_counts
 
 from spinpad.dataflow import (
     AcceleratorConfig,
-    AccessTrace,
     Conv,
     FullyConnected,
     GemmShape,
@@ -25,10 +24,8 @@ from spinpad.dataflow import (
     out_dims,
     output_elements,
     simulate_iteration,
-    total_time,
     weight_elements,
 )
-from spinpad.arraymodel import ArrayMetrics
 from spinpad.errors import (
     ConfigError,
     InvalidLayerError,
@@ -46,10 +43,6 @@ TOY_NET = [
     FullyConnected(2, 512, 64),
     FullyConnected(2, 64, 10),
 ]
-
-
-def flat_metrics(rl=1.0, wl=1.0):
-    return ArrayMetrics(1.0, 1.0, rl, wl, 1.0, 1.0, 1.0)
 
 
 def test_out_dims():
@@ -251,38 +244,6 @@ def test_evicted_weights_update_in_dram():
     assert tr.accesses[(1, Phase.WEIGHT_UPDATE, Store.ERROR)] == [256, 0]
     for l in (2, 3):
         assert tr.accesses[(l, Phase.WEIGHT_UPDATE, Store.WEIGHT)] == [256, 256]
-
-
-def test_total_time():
-    cfg = AcceleratorConfig()
-    tr = AccessTrace()
-    tr.set_compute(1, Phase.FORWARD, 0, 1000)
-    flat = flat_metrics()
-    assert total_time(tr, cfg, flat, flat, flat, 50.0) == 1000.0
-    tr.add(1, Phase.FORWARD, Store.DRAM, reads=1)
-    assert total_time(tr, cfg, flat, flat, flat, 50.0,
-                      dram_burst_elements=1) == 1050.0
-    # fractional burst occupancy
-    assert total_time(tr, cfg, flat, flat, flat, 50.0,
-                      dram_burst_elements=16) == pytest.approx(1000.0 + 50.0 / 16)
-    tr.add(1, Phase.FORWARD, Store.ACTIVATION, reads=3, writes=2)
-    act = flat_metrics(rl=2.0, wl=5.0)
-    assert total_time(tr, cfg, act, flat, flat, 50.0,
-                      dram_burst_elements=1) == 1050.0 + 3 * 2.0 + 2 * 5.0
-    with pytest.raises(InvalidParameterError):
-        total_time(tr, cfg, flat, flat, flat, 50.0, dram_burst_elements=0)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    tr = simulate_iteration([CANON_CONV], BIG)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "layer,phase,store,reads,writes"
-    assert len(lines) == 1 + len(tr.accesses)
-    # deterministic ordering: layer, then phase order, then store order
-    tr.to_csv(tmp_path / "trace2.csv")
-    assert (tmp_path / "trace2.csv").read_text() == path.read_text()
 
 
 def test_load_workload(tmp_path):

@@ -19,7 +19,6 @@ from spinpad.dataflow import (
     Phase,
     Store,
     simulate_iteration,
-    total_time,
 )
 from spinpad.energy import (
     EXPONENT_BITS,
@@ -31,11 +30,9 @@ from spinpad.energy import (
     compare_iso_area,
     compare_iso_capacity,
     estimate_energy,
-    hetero_system_write_improvement,
     hetero_write_energy,
-    load_system_config,
-    scratchpad_write_energy_nj,
 )
+from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import ConfigError, InvalidParameterError
 
 TABLE = CalibrationTable.default()
@@ -89,6 +86,12 @@ def test_system_config_rejects_nonpositive(field_name):
 def test_system_config_rejects_zero_burst():
     with pytest.raises(InvalidParameterError):
         SystemEnergyConfig(dram_burst_elements=0)
+
+
+def load_system_config(path) -> SystemEnergyConfig:
+    """The system config as system-compare loads it from its --system JSON."""
+    args = build_parser().parse_args(["system-compare", "--system", str(path)])
+    return _COMMANDS["system-compare"][1](args).system
 
 
 def test_load_system_config_roundtrip(tmp_path):
@@ -173,14 +176,27 @@ def test_breakdown_additivity_and_nonnegative():
         assert getattr(rep, name) == pytest.approx(per_phase_sum, rel=1e-9)
 
 
-def test_time_matches_dataflow_total_time():
-    trace = simulate_iteration(toy_vgg(8), CFG)
-    m = metrics_at_capacity(TABLE, SRAM, 1024.0)
-    sys = SystemEnergyConfig()
-    rep = estimate_energy(trace, m, m, m, sys)
-    expected = total_time(trace, CFG, m, m, m, sys.dram_latency_ns,
-                          sys.dram_burst_elements)
-    assert rep.time_ns == pytest.approx(expected, rel=1e-12)
+def test_time_model():
+    """Fully serialized time: cycles at the one clock, DRAM bursts, latencies."""
+    tr = AccessTrace()
+    tr.set_compute(1, Phase.FORWARD, 0, 1000)
+    flat = flat_metrics()
+
+    def time_ns(act=flat, **sys):
+        cfg = SystemEnergyConfig(dram_latency_ns=50.0, **sys)
+        return estimate_energy(tr, act, flat, flat, cfg).time_ns
+
+    assert time_ns() == 1000.0
+    assert time_ns(clock_ghz=4.0) == 250.0
+    tr.add(1, Phase.FORWARD, Store.DRAM, reads=1)
+    assert time_ns(dram_burst_elements=1) == 1050.0
+    # fractional burst occupancy
+    assert time_ns(dram_burst_elements=16) == pytest.approx(1000.0 + 50.0 / 16)
+    tr.add(1, Phase.FORWARD, Store.ACTIVATION, reads=3, writes=2)
+    act = flat_metrics(read_latency_ns=2.0, write_latency_ns=5.0)
+    assert time_ns(act, dram_burst_elements=1) == 1050.0 + 3 * 2.0 + 2 * 5.0
+    with pytest.raises(InvalidParameterError):
+        SystemEnergyConfig(dram_burst_elements=0)
 
 
 @pytest.mark.parametrize("field_name", [
@@ -349,28 +365,3 @@ def test_hetero_word_energy_bounded(f_sign, f_exp, f_mant, n, bit_pj):
     lo = 32 * bit_pj * min(f_sign, f_exp, f_mant)
     hi = 32 * bit_pj * max(f_sign, f_exp, f_mant)
     assert lo * (1 - 1e-9) <= res.per_word_energy_pj <= hi * (1 + 1e-9)
-
-
-def test_scratchpad_write_energy_ignores_dram():
-    trace = AccessTrace()
-    trace.add(0, Phase.FORWARD, Store.DRAM, writes=1000)
-    trace.add(0, Phase.FORWARD, Store.ACTIVATION, writes=10)
-    m = flat_metrics(write_energy_pj=2.0)
-    assert scratchpad_write_energy_nj(trace, m, m, m) == pytest.approx(0.02)
-
-
-def test_hetero_system_improvement_uniform_mapping():
-    trace = simulate_iteration(toy_vgg(8), CFG)
-    m = metrics_at_capacity(TABLE, MRAM, 1024.0)
-    seg = SegmentMap(sign=MRAM, exponent=MRAM,
-                     mantissa=MemoryTechnology.mram_low_duration())
-    imp = hetero_system_write_improvement(trace, m, m, m, seg)
-    # uniform per-buffer mapping makes the system gain the word factor itself
-    assert imp == pytest.approx(1.0 / 0.56875, rel=1e-12)
-    assert imp >= 1.7
-
-
-def test_hetero_system_improvement_empty_trace():
-    m = flat_metrics()
-    seg = SegmentMap(sign=MRAM, exponent=MRAM, mantissa=MRAM)
-    assert hetero_system_write_improvement(AccessTrace(), m, m, m, seg) == 1.0

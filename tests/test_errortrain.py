@@ -15,11 +15,11 @@ from spinpad.errortrain import (
     SegmentErrorConfig,
     TinyNetSpec,
     TrainingResult,
+    experiment_from_dict,
     gradient_check,
     init_params,
     inject_tensor,
     inject_word,
-    load_experiment,
     loss_and_gradients,
     make_moons_dataset,
     run_experiment,
@@ -374,6 +374,11 @@ def test_run_experiment_keyed_by_seed():
     assert set(results) == {5, 6}
     assert all(isinstance(r, TrainingResult) for r in results.values())
     assert results[5].train_loss != results[6].train_loss
+
+
+def load_experiment(path) -> ExperimentConfig:
+    """An experiment config loaded from its JSON file, as error-train does."""
+    return experiment_from_dict(json.loads(path.read_text()), where=str(path))
 
 
 def test_load_experiment_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import axial_switch_time_ns, heun_axial
 
+from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import (
     ConfigError,
     InsufficientDataError,
@@ -34,8 +35,6 @@ from spinpad.magnetics import (
     find_switching_threshold,
     fit_ln_wer,
     integrate_llg,
-    load_device_config,
-    merge_sim_config,
     relative_write_energy,
     required_amplitude,
     run_wer_sweep,
@@ -354,18 +353,6 @@ def test_batch_switch_steps_pinned():
     assert steps.reshape(3, trials)[:, :8].tolist() == pinned
 
 
-def test_wer_curve_csv_roundtrip(tmp_path):
-    dev = default_device()
-    cfg = MagSimConfig(trials=50, seed=9)
-    curve = run_wer_sweep(dev, [80.0, 140.0], [5.0, 10.0], cfg)
-    path = tmp_path / "wer.csv"
-    curve.to_csv(path)
-    back = WerCurve.from_csv(path)
-    assert back.points == curve.points
-    assert sorted(back.durations()) == [5.0, 10.0]
-    assert len(back.at_duration(5.0)) == 2
-
-
 def test_find_switching_threshold_requires_zero_temp():
     dev = default_device()
     with pytest.raises(InvalidParameterError):
@@ -373,12 +360,18 @@ def test_find_switching_threshold_requires_zero_temp():
 
 
 def test_load_device_config(tmp_path):
+    """The device and simulation sections load through the wer-sweep config."""
+    def load(path):
+        args = build_parser().parse_args(["wer-sweep", "--config", str(path)])
+        cfg = _COMMANDS["wer-sweep"][1](args)
+        return cfg.device, cfg.simulation
+
     path = tmp_path / "dev.json"
     path.write_text(json.dumps({
         "device": {"thermal_stability": 60.0, "temperature_k": 250.0},
         "simulation": {"trials": 500, "seed": 7},
     }))
-    dev, cfg = load_device_config(path)
+    dev, cfg = load(path)
     assert dev.thermal_stability == 60.0
     assert dev.temperature_k == 250.0
     assert dev.damping == 0.006  # untouched default
@@ -388,21 +381,13 @@ def test_load_device_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"device": {"nonsense": 1.0}}))
     with pytest.raises(ConfigError):
-        load_device_config(bad)
+        load(bad)
     bad.write_text(json.dumps({"mystery": {}}))
     with pytest.raises(ConfigError):
-        load_device_config(bad)
+        load(bad)
     bad.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError):
-        load_device_config(bad)
-
-
-def test_merge_sim_config():
-    cfg = MagSimConfig(trials=100, seed=1)
-    out = merge_sim_config(cfg, trials=200, seed=None)
-    assert out.trials == 200
-    assert out.seed == 1
-    assert cfg.trials == 100  # original untouched
+        load(bad)
 
 
 @given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
