@@ -266,18 +266,6 @@ class CalibrationTable:
     def areas(self, kind: TechnologyKind) -> list[float]:
         return [p.area_mm2 for p in self.anchors_for(kind)]
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for kind in sorted(self.anchors, key=lambda k: k.value):
-                for p in self.anchors[kind]:
-                    writer.writerow(
-                        [kind.value, repr(p.capacity_kb)]
-                        + [repr(getattr(p, name)) for name in _INTERP_FIELDS]
-                        + [repr(p.wer)]
-                    )
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "CalibrationTable":
         anchors: dict[TechnologyKind, list[ArrayMetrics]] = {}

@@ -13,11 +13,18 @@ instead of crashing.
 Randomness is derived per write event from a counter-style key
 (seed, kind, epoch, batch, layer), making the training curve a pure function
 of (network spec, dataset, binding, seed) regardless of execution order.
+Each write event draws one uniform per element and bit at risk, bit by bit
+in the order sign, exponent bits 23..30, mantissa bits 0..span-1. The
+uniforms of k consecutive bits come from one (k, *shape) draw, which
+consumes the stream exactly as k draws of the tensor's shape do, with
+k = max(1, _DRAW_CAP // tensor size): a training tensor takes one draw per
+write event, and a tensor of _DRAW_CAP elements or more one draw per bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,10 +36,20 @@ SIGN_BIT = 31
 EXPONENT_BITS = range(23, 31)
 MANTISSA_SPAN = 23
 
+# Bound on the uniforms one draw of _flip_mask holds (see the module
+# docstring); it keeps the memory of a large tensor's injection bounded.
+_DRAW_CAP = 1 << 16
+
 _ACTIVATIONS = ("tanh", "relu")
 
 # Stream kinds for counter-based randomness derivation.
 _K_INIT, _K_SHUFFLE, _K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS, _K_DATA = range(7)
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not an integer, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +66,7 @@ class SegmentErrorConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {p}")
+        _check_int("affected_mantissa_bits", self.affected_mantissa_bits)
         if not 0 <= self.affected_mantissa_bits <= MANTISSA_SPAN:
             raise InvalidParameterError(
                 f"affected_mantissa_bits must be in [0, {MANTISSA_SPAN}]"
@@ -93,24 +111,27 @@ class InjectionStats:
 
 def _flip_mask(shape: tuple[int, ...], cfg: SegmentErrorConfig,
                rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Per-element uint32 XOR mask; draw order is sign, exponent, mantissa."""
+    """Per-element uint32 XOR mask and flip count, drawn in blocks of bits."""
+    bits: list[int] = []
+    probs: list[float] = []
+    for p, segment in ((cfg.sign_wer, (SIGN_BIT,)),
+                       (cfg.exponent_wer, EXPONENT_BITS),
+                       (cfg.mantissa_wer, range(cfg.affected_mantissa_bits))):
+        if p > 0.0:
+            bits.extend(segment)
+            probs.extend([p] * len(segment))
+    column = (-1,) + (1,) * len(shape)
+    bit_col = np.array(bits, dtype=np.uint32).reshape(column)
+    prob_col = np.array(probs, dtype=np.float64).reshape(column)
+    block = max(1, _DRAW_CAP // max(1, math.prod(shape)))
     mask = np.zeros(shape, dtype=np.uint32)
     flips = 0
-
-    def hit(p: float, bit: int) -> None:
-        nonlocal flips
-        h = rng.random(shape) < p
-        flips += int(h.sum())
-        np.bitwise_or(mask, h.astype(np.uint32) << np.uint32(bit), out=mask)
-
-    if cfg.sign_wer > 0.0:
-        hit(cfg.sign_wer, SIGN_BIT)
-    if cfg.exponent_wer > 0.0:
-        for bit in EXPONENT_BITS:
-            hit(cfg.exponent_wer, bit)
-    if cfg.mantissa_wer > 0.0:
-        for bit in range(cfg.affected_mantissa_bits):
-            hit(cfg.mantissa_wer, bit)
+    for lo in range(0, len(bits), block):
+        rows = slice(lo, lo + block)
+        hit = rng.random((len(prob_col[rows]), *shape)) < prob_col[rows]
+        flips += int(np.count_nonzero(hit))
+        mask |= np.bitwise_or.reduce(
+            np.left_shift(hit, bit_col[rows], dtype=np.uint32), axis=0)
     return mask, flips
 
 
@@ -191,6 +212,10 @@ class TinyNetSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
+        for i, size in enumerate(self.layer_sizes):
+            _check_int(f"layer_sizes[{i}]", size)
+        for name in ("batch_size", "epochs", "seed"):
+            _check_int(name, getattr(self, name))
         if len(self.layer_sizes) < 2:
             raise InvalidParameterError("need at least input and output sizes")
         if any(s < 1 for s in self.layer_sizes):
@@ -471,6 +496,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for i, seed in enumerate(self.seeds):
+            _check_int(f"seeds[{i}]", seed)
+        for name in ("n_train", "n_test", "dataset_seed"):
+            _check_int(name, getattr(self, name))
         if not self.seeds:
             raise InvalidParameterError("need at least one seed")
         if self.n_train < 1 or self.n_test < 1:

@@ -141,3 +141,27 @@ def brute_force_gemm_counts(m, k, n, rows, cols):
 
 def conv_out_dim(size, kernel, stride, pad):
     return (size + 2 * pad - kernel) // stride + 1
+
+
+def flip_mask_per_bit(shape, cfg, rng):
+    """Bit-flip XOR mask of one write event, one binary32 bit per draw.
+
+    One uniform per element for each bit at risk, bit by bit in the order
+    sign (bit 31), exponent (bits 23..30), then the mantissa bits
+    0..affected_mantissa_bits-1; returns (uint32 mask, number of flips).
+    """
+    mask = np.zeros(shape, dtype=np.uint32)
+    flips = 0
+    plan = []
+    if cfg.sign_wer > 0:
+        plan.append((cfg.sign_wer, 31))
+    if cfg.exponent_wer > 0:
+        plan.extend((cfg.exponent_wer, bit) for bit in range(23, 31))
+    if cfg.mantissa_wer > 0:
+        plan.extend((cfg.mantissa_wer, bit)
+                    for bit in range(cfg.affected_mantissa_bits))
+    for p, bit in plan:
+        hit = rng.random(shape) < p
+        flips += int(hit.sum())
+        mask |= hit.astype(np.uint32) << np.uint32(bit)
+    return mask, flips

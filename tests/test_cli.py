@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -472,6 +474,46 @@ def test_error_train_invalid_binding_exits_one(tmp_path):
         binding={"weights": {"mantissa_wer": 2.0}})))
     assert run_cli("error-train", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 1
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"binding": {"weights": {"affected_mantissa_bits": 5.0}}},
+     "binding: weights: affected_mantissa_bits"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"epochs": True}, "epochs"),
+    ({"n_train": 40.5}, "n_train"),
+    ({"seeds": [1.5]}, r"seeds\[0\]"),
+    ({"layer_sizes": [2, 8.0, 2]}, r"layer_sizes\[1\]"),
+])
+def test_error_train_non_integer_field_exits_one(tmp_path, capsys, overrides, key):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(_experiment(**overrides)))
+    out = tmp_path / "o"
+    assert run_cli("error-train", "--config", str(cfg), "--out", str(out)) == 1
+    assert re.search(f"{key} must be an integer", capsys.readouterr().err)
+    assert not out.exists()
+
+
+# sha256 of (curves.csv, summary.json) of each bundled error-train config:
+# a change to the injection path that alters one bit of a curve fails here
+PINNED_ERROR_TRAIN = {
+    "baseline": ("5d2653d215fe2e9a9456d2ed3c60141c1dd3e5afa3cec0932fa514f184c1c26b",
+                 "8dbc65841e3bff10a58f1adfd07af31677407670c3e7f9ffc905259530670dac"),
+    "mantissa": ("f5d8e891bd4f86c7e6983c7ba5ae60cb671ea60f62471c03df904394dd073906",
+                 "a759cb788aeecc52f71e79e2d8af2a720f4beaf1f3a9aed3581445d4ad78c430"),
+    "exponent": ("c4ef5686ca0efa5896369f886d31c6eebac2d99d3042df25ad9dab96ee541c02",
+                 "9460164ee153a9f064c31b89291015d4f65e18271607a0ae464d6d280e6ff94e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ERROR_TRAIN))
+def test_bundled_error_train_outputs_pinned(tmp_path, name):
+    out = tmp_path / "o"
+    cfg = CONFIGS / f"error_train_{name}.json"
+    assert run_cli("error-train", "--config", str(cfg), "--out", str(out)) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("curves.csv", "summary.json"))
+    assert digests == PINNED_ERROR_TRAIN[name]
 
 
 def test_error_train_rerun_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from spinpad.errors import ConfigError, InvalidParameterError
 from spinpad.errortrain import (
+    _DRAW_CAP,
     BufferErrorBinding,
     Dataset,
     ExperimentConfig,
     SegmentErrorConfig,
     TinyNetSpec,
     TrainingResult,
+    _flip_mask,
     experiment_from_dict,
     gradient_check,
     init_params,
@@ -28,6 +31,8 @@ from spinpad.errortrain import (
     two_moons,
 )
 from spinpad.magnetics import derive_stream
+
+from oracles import flip_mask_per_bit
 
 SIGN_MASK = 0x80000000
 EXP_MASK = 0x7F800000
@@ -53,6 +58,10 @@ def test_segment_config_validation():
                    {"mantissa_wer": 2.0}, {"affected_mantissa_bits": 24},
                    {"affected_mantissa_bits": -1}):
         with pytest.raises(InvalidParameterError):
+            SegmentErrorConfig(**kwargs)
+    for kwargs in ({"affected_mantissa_bits": 5.0},
+                   {"affected_mantissa_bits": True}):
+        with pytest.raises(ConfigError, match="affected_mantissa_bits"):
             SegmentErrorConfig(**kwargs)
 
 
@@ -148,6 +157,47 @@ def test_injection_deterministic_per_stream():
     assert not np.array_equal(bits(a), bits(c))
 
 
+_SEGMENTS = {
+    "sign": {"sign_wer": 0.2},
+    "exponent": {"exponent_wer": 0.2},
+    "mantissa": {"mantissa_wer": 0.2},
+    "all": {"sign_wer": 0.05, "exponent_wer": 0.1, "mantissa_wer": 0.3},
+    "all_p1": {"sign_wer": 1.0, "exponent_wer": 1.0, "mantissa_wer": 1.0},
+    "exponent_mantissa": {"exponent_wer": 0.5, "mantissa_wer": 1.0},
+}
+
+
+@pytest.mark.parametrize("shape", [
+    (0, 4), (1,), (32, 32), (5, 3, 4),
+    (_DRAW_CAP // 12 + 1,),  # 11 bits a draw: several draws, the last short
+    (_DRAW_CAP + 3,),  # one bit per draw
+])
+@pytest.mark.parametrize("span", [0, 1, 7, 23])
+@pytest.mark.parametrize("segments", sorted(_SEGMENTS))
+def test_flip_mask_matches_per_bit_oracle(segments, span, shape):
+    # the blocked draw must consume each stream exactly as one draw per bit
+    cfg = SegmentErrorConfig(affected_mantissa_bits=span, **_SEGMENTS[segments])
+    mask, flips = _flip_mask(shape, cfg, derive_stream(42, span))
+    want_mask, want_flips = flip_mask_per_bit(shape, cfg, derive_stream(42, span))
+    assert mask.dtype == np.uint32 and mask.shape == shape
+    assert np.array_equal(mask, want_mask)
+    assert flips == want_flips
+
+
+def test_large_injection_memory_bounded():
+    # 1e6 words x 32 bits at risk: drawn at once it would hold 256 MB of
+    # uniforms; the block rule keeps one bit's worth (8 MB) at a time
+    x = np.ones(1_000_000, dtype=np.float32)
+    cfg = SegmentErrorConfig(sign_wer=1e-3, exponent_wer=1e-3, mantissa_wer=1e-3)
+    tracemalloc.start()
+    try:
+        inject_tensor(x, cfg, rng(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     values=hnp.arrays(np.float32, st.integers(1, 64),
@@ -213,6 +263,17 @@ def test_tinynet_validation():
                    {"epochs": 0}, {"activation": "sigmoid"}):
         with pytest.raises(InvalidParameterError):
             TinyNetSpec(**kwargs)
+    for kwargs, name in (({"batch_size": 2.5}, "batch_size"),
+                         ({"batch_size": True}, "batch_size"),
+                         ({"epochs": True}, "epochs"),
+                         ({"epochs": 3.0}, "epochs"),
+                         ({"seed": 1.5}, "seed"),
+                         ({"seed": False}, "seed"),
+                         ({"layer_sizes": (2, 8.0, 2)}, r"layer_sizes\[1\]"),
+                         ({"layer_sizes": (True, 2)}, r"layer_sizes\[0\]")):
+        with pytest.raises(ConfigError, match=name):
+            TinyNetSpec(**kwargs)
+    assert TinyNetSpec(layer_sizes=(np.int64(2), 4, 2), epochs=np.int32(3)).epochs == 3
 
 
 def test_init_params_shapes_and_determinism():
@@ -364,6 +425,14 @@ def test_experiment_config_validation():
         ExperimentConfig(net=SPEC, binding=BufferErrorBinding.zero(), seeds=())
     with pytest.raises(InvalidParameterError):
         ExperimentConfig(net=SPEC, binding=BufferErrorBinding.zero(), n_train=0)
+    for kwargs, name in (({"n_train": 40.5}, "n_train"),
+                         ({"n_test": True}, "n_test"),
+                         ({"dataset_seed": 7.0}, "dataset_seed"),
+                         ({"dataset_seed": "7"}, "dataset_seed"),
+                         ({"seeds": (1.5,)}, r"seeds\[0\]"),
+                         ({"seeds": (1, True)}, r"seeds\[1\]")):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(net=SPEC, **kwargs)
 
 
 def test_run_experiment_keyed_by_seed():
