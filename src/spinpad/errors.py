@@ -1,6 +1,7 @@
 """Exception types shared across the simulator layers, and the one strict
 constructor that builds every config object from its JSON section."""
 
+import numbers
 from dataclasses import fields, is_dataclass, replace
 
 
@@ -38,6 +39,12 @@ class InvalidLayerError(SpinpadError, ValueError):
 
 class NotAGemmError(SpinpadError, ValueError):
     """The requested phase has no systolic GEMM view (vector-path only)."""
+
+
+def check_int(name: str, value) -> None:
+    """Reject a value that is not an integer, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def config_from(base, section, where: str, **fixed):

@@ -24,12 +24,11 @@ write event, and a tensor of _DRAW_CAP elements or more one draw per bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, config_from
+from .errors import ConfigError, InvalidParameterError, check_int, config_from
 from .magnetics import derive_stream
 
 SIGN_BIT = 31
@@ -46,12 +45,6 @@ _ACTIVATIONS = ("tanh", "relu")
 _K_INIT, _K_SHUFFLE, _K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS, _K_DATA = range(7)
 
 
-def _check_int(name: str, value) -> None:
-    """Reject a value that is not an integer, a bool included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SegmentErrorConfig:
     """Per-segment bit flip probabilities for one scratchpad's writes."""
@@ -66,7 +59,7 @@ class SegmentErrorConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {p}")
-        _check_int("affected_mantissa_bits", self.affected_mantissa_bits)
+        check_int("affected_mantissa_bits", self.affected_mantissa_bits)
         if not 0 <= self.affected_mantissa_bits <= MANTISSA_SPAN:
             raise InvalidParameterError(
                 f"affected_mantissa_bits must be in [0, {MANTISSA_SPAN}]"
@@ -213,9 +206,9 @@ class TinyNetSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         for i, size in enumerate(self.layer_sizes):
-            _check_int(f"layer_sizes[{i}]", size)
+            check_int(f"layer_sizes[{i}]", size)
         for name in ("batch_size", "epochs", "seed"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if len(self.layer_sizes) < 2:
             raise InvalidParameterError("need at least input and output sizes")
         if any(s < 1 for s in self.layer_sizes):
@@ -338,6 +331,7 @@ class TrainingResult:
     test_accuracy: list[float]  # percent
     sanitized_per_epoch: list[int]
     diverged: bool
+    diverged_sanitized: int = 0  # sanitized in the epoch that diverged
 
     @property
     def epochs_completed(self) -> int:
@@ -349,7 +343,7 @@ class TrainingResult:
 
     @property
     def total_sanitized(self) -> int:
-        return sum(self.sanitized_per_epoch)
+        return sum(self.sanitized_per_epoch) + self.diverged_sanitized
 
 
 def _validate_dataset(spec: TinyNetSpec, ds: Dataset) -> None:
@@ -396,7 +390,6 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
     losses: list[float] = []
     accs: list[float] = []
     sanitized: list[int] = []
-    diverged = False
 
     for epoch in range(spec.epochs):
         order = derive_stream(spec.seed, _K_SHUFFLE, epoch).permutation(n)
@@ -426,8 +419,7 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
             with np.errstate(divide="ignore"):
                 loss = float(-np.log(p[np.arange(m), yb]).mean())
             if not math.isfinite(loss):
-                diverged = True
-                break
+                return TrainingResult(losses, accs, sanitized, True, epoch_sanitized)
             batch_losses.append(loss)
 
             onehot = np.zeros_like(p)
@@ -466,13 +458,11 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                     epoch_sanitized += st.sanitized
                 params[li] = (w, b)
 
-        if diverged:
-            break
         losses.append(float(np.mean(batch_losses)))
         accs.append(_accuracy(params, x_test, y_test, act_fn))
         sanitized.append(epoch_sanitized)
 
-    return TrainingResult(losses, accs, sanitized, diverged)
+    return TrainingResult(losses, accs, sanitized, False)
 
 
 def train_reference(spec: TinyNetSpec, dataset: Dataset) -> TrainingResult:
@@ -497,9 +487,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for i, seed in enumerate(self.seeds):
-            _check_int(f"seeds[{i}]", seed)
+            check_int(f"seeds[{i}]", seed)
         for name in ("n_train", "n_test", "dataset_seed"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if not self.seeds:
             raise InvalidParameterError("need at least one seed")
         if self.n_train < 1 or self.n_test < 1:

@@ -26,7 +26,10 @@ normal sample per spatial component with standard deviation
 which makes the integrated noise a proper Wiener increment regardless
 of the step size.  At T > 0 integration uses the stochastic Heun scheme
 (the thermal field is frozen within a step and shared by predictor and
-corrector) with renormalization of m after every step.
+corrector) with renormalization of m after every step.  m, the predictor
+and H are (5, rows) buffers with rows x y z x y: [1:4] and [2:5] are the
+cyclic shifts, so m x H is two multiplies and a subtract and each term
+above is evaluated over (3, rows), every element in its component order.
 
 At T = 0 the field is purely uniaxial and the polarizer collinear, so
 the dynamics keep their axial symmetry and reduce exactly to
@@ -63,6 +66,7 @@ from .errors import (
     InvalidFitError,
     InvalidParameterError,
     NumericalFailureError,
+    check_int,
 )
 
 KB_ERG = 1.380649e-16      # Boltzmann constant [erg/K]
@@ -160,6 +164,8 @@ class MagSimConfig:
     initial_tilt_rad: float | None = None
 
     def __post_init__(self):
+        check_int("trials", self.trials)
+        check_int("seed", self.seed)
         if not 0 < self.time_step_ps <= 10.0:
             raise InvalidParameterError("time_step_ps must lie in (0, 10]")
         if self.relax_time_ns < 0:
@@ -302,19 +308,6 @@ def _initial_state(device: MtjDevice, rng: np.random.Generator,
     return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
-def _rhs(mx, my, mz, hx, hy, hz, aj, alpha, pre):
-    """Landau-Lifshitz right-hand side; hz must already include anisotropy."""
-    mdh = mx * hx + my * hy + mz * hz
-    # -m x H (precession) and -a m x (m x H) = -a (m (m.H) - H) (damping)
-    rx = pre * (-(my * hz - mz * hy) - alpha * (mx * mdh - hx)
-                + aj * (mx * mz) + alpha * aj * my)
-    ry = pre * (-(mz * hx - mx * hz) - alpha * (my * mdh - hy)
-                + aj * (my * mz) - alpha * aj * mx)
-    rz = pre * (-(mx * hy - my * hx) - alpha * (mz * mdh - hz)
-                + aj * (mz * mz - 1.0))
-    return rx, ry, rz
-
-
 _CHUNK_STEPS = 512  # finished trials are compacted out every chunk
 _NOISE_BLOCK_STEPS = 64  # thermal noise is drawn in blocks of this many steps
 
@@ -329,6 +322,11 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     after block this consumes every stream exactly as one (steps, rows,
     3) draw would, while the noise held at once stays one block.
 
+    m, the predictor and H are stacked (see the module docstring); the
+    torque terms are skipped under the 0.0 of relaxation.  |m| and m_z are
+    recorded every step and checked once per noise block: a non-finite or
+    collapsed (< 0.5) |m| raises, and first crossings come from the record.
+
     Returns (state, first, drop): the new state, the 1-based step of each
     row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none) and the
     rows to compact out, which are the switched ones.
@@ -336,33 +334,61 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     mx, my, mz, point = state
     na = len(mz)
     rows = np.bincount(point, minlength=len(rngs))
-    crossed = np.zeros(na, dtype=bool)
+    drive = np.ndim(aj) > 0 or aj != 0.0
+    if drive:
+        signed_aaj = np.array([[1.0], [-1.0]]) * (alpha * aj)  # (a aj, -a aj) per row
+    m = np.array((mx, my, mz, mx, my))
+    p, h = np.empty((2, 5, na))
+    k1, k2, cross, damp, tmp = np.empty((5, 3, na))
+    mdh, field = np.empty((2, na))
+    h3, h14, h25, hz, tmp_z, pair = h[:3], h[1:4], h[2:5], h[2], tmp[2], damp[:2]
+
+    def rhs(v3, v14, v25, vz, vyx, out, out01):
+        """Landau-Lifshitz right-hand side at v into out; hz holds H_z in full."""
+        np.add.reduce(np.multiply(v3, h3, out=tmp), axis=0, out=mdh)  # m.H
+        np.subtract(np.multiply(v3, mdh, out=damp), h3, out=damp)  # m (m.H) - H
+        np.subtract(np.multiply(v14, h25, out=cross), np.multiply(v25, h14, out=tmp), out=cross)
+        np.subtract(np.negative(cross, out=out), np.multiply(damp, alpha, out=damp), out=out)
+        if drive:
+            np.multiply(v3, vz, out=tmp)  # m m_z - z
+            np.subtract(tmp_z, 1.0, out=tmp_z)
+            np.add(out, np.multiply(tmp, aj, out=tmp), out=out)
+            np.add(out01, np.multiply(vyx, signed_aaj, out=pair), out=out01)  # (m_y, -m_x)
+        np.multiply(out, pre, out=out)
+
+    m3, mz_, m01, m34 = m[:3], m[2], m[:2], m[3:]
+    p3, pz, p01, p34 = p[:3], p[2], p[:2], p[3:]
+    at_m = (m3, m[1:4], m[2:5], mz_, m[4:2:-1], k1, k1[:2])
+    at_p = (p3, p[1:4], p[2:5], pz, p[4:2:-1], k2, k2[:2])
+    noise = np.empty((_NOISE_BLOCK_STEPS, 5, na))
+    norm, mz_seen = np.empty((2, _NOISE_BLOCK_STEPS, na))
     first = np.full(na, -1, dtype=np.int64)
     for start in range(0, steps, _NOISE_BLOCK_STEPS):
         block = min(_NOISE_BLOCK_STEPS, steps - start)
-        noise = sigma * np.concatenate(
-            [rng.standard_normal((block, k, 3)) for rng, k in zip(rngs, rows) if k],
-            axis=1)
+        for rng, k, hi in zip(rngs, rows, np.cumsum(rows)):
+            if k:
+                np.multiply(rng.standard_normal((block, k, 3)).transpose(0, 2, 1), sigma,
+                            out=noise[:block, :3, hi - k:hi])
+        noise[:block, 3:] = noise[:block, :2]
         for j in range(block):
-            hx, hy, hz = noise[j, :, 0], noise[j, :, 1], noise[j, :, 2]
-            k1x, k1y, k1z = _rhs(mx, my, mz, hx, hy, hz + hk * mz, aj, alpha, pre)
-            px, py, pz = mx + dt * k1x, my + dt * k1y, mz + dt * k1z
-            k2x, k2y, k2z = _rhs(px, py, pz, hx, hy, hz + hk * pz, aj, alpha, pre)
-            mx = mx + 0.5 * dt * (k1x + k2x)
-            my = my + 0.5 * dt * (k1y + k2y)
-            mz = mz + 0.5 * dt * (k1z + k2z)
-            norm = np.sqrt(mx * mx + my * my + mz * mz)
-            if not np.all(np.isfinite(norm)) or np.any(norm < 0.5):
-                raise NumericalFailureError(
-                    "integration blow-up: |m| left the unit sphere")
-            mx /= norm
-            my /= norm
-            mz /= norm
-            newly = (mz < SWITCH_THRESHOLD_MZ) & ~crossed
-            if newly.any():
-                crossed |= newly
-                first[newly] = start + j + 1
-    return (mx, my, mz, point), first, crossed
+            np.copyto(h, noise[j])
+            np.add(hz, np.multiply(mz_, hk, out=field), out=hz)
+            rhs(*at_m)
+            np.add(m3, np.multiply(k1, dt, out=p3), out=p3)
+            np.copyto(p34, p01)
+            np.add(noise[j, 2], np.multiply(pz, hk, out=field), out=hz)
+            rhs(*at_p)
+            np.add(m3, np.multiply(np.add(k1, k2, out=k1), 0.5 * dt, out=k1), out=m3)
+            np.copyto(m34, m01)
+            np.add.reduce(np.multiply(m3, m3, out=tmp), axis=0, out=norm[j])
+            np.divide(m, np.sqrt(norm[j], out=norm[j]), out=m)
+            np.copyto(mz_seen[j], mz_)
+        if not np.all(np.isfinite(norm[:block])) or np.any(norm[:block] < 0.5):
+            raise NumericalFailureError("integration blow-up: |m| left the unit sphere")
+        below = mz_seen[:block] < SWITCH_THRESHOLD_MZ
+        hit = below.any(axis=0) & (first < 0)
+        first[hit] = start + np.argmax(below[:, hit], axis=0) + 1
+    return (m[0], m[1], m[2], point), first, first >= 0
 
 
 def _axial_chunk(ahk, pre, dt, state, aj, steps):

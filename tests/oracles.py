@@ -165,3 +165,57 @@ def flip_mask_per_bit(shape, cfg, rng):
         flips += int(hit.sum())
         mask |= hit.astype(np.uint32) << np.uint32(bit)
     return mask, flips
+
+
+def _llg_rhs(mx, my, mz, hx, hy, hz, aj, alpha, pre):
+    """Landau-Lifshitz right-hand side per component; hz includes anisotropy."""
+    mdh = mx * hx + my * hy + mz * hz
+    # -m x H (precession) and -a m x (m x H) = -a (m (m.H) - H) (damping)
+    rx = pre * (-(my * hz - mz * hy) - alpha * (mx * mdh - hx)
+                + aj * (mx * mz) + alpha * aj * my)
+    ry = pre * (-(mz * hx - mx * hz) - alpha * (my * mdh - hy)
+                + aj * (my * mz) - alpha * aj * mx)
+    rz = pre * (-(mx * hy - my * hx) - alpha * (mz * mdh - hz)
+                + aj * (mz * mz - 1.0))
+    return rx, ry, rz
+
+
+def heun_llg_reference(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
+    """Stochastic Heun on per-component columns, checked after every step.
+
+    Takes and returns what spinpad.magnetics._llg_chunk does, and draws
+    the thermal field the same way: a (block, rows, 3) normal array per
+    point and 64-step noise block, over that point's rows; switching is
+    m_z < -0.5.  Every term is spelled out on its own column and |m| is
+    checked before each renormalization, so this is the bit-level
+    reference for the stacked integrator.
+    """
+    mx, my, mz, point = state
+    na = len(mz)
+    rows = np.bincount(point, minlength=len(rngs))
+    crossed = np.zeros(na, dtype=bool)
+    first = np.full(na, -1, dtype=np.int64)
+    for start in range(0, steps, 64):
+        block = min(64, steps - start)
+        noise = sigma * np.concatenate(
+            [rng.standard_normal((block, k, 3)) for rng, k in zip(rngs, rows) if k],
+            axis=1)
+        for j in range(block):
+            hx, hy, hz = noise[j, :, 0], noise[j, :, 1], noise[j, :, 2]
+            k1x, k1y, k1z = _llg_rhs(mx, my, mz, hx, hy, hz + hk * mz, aj, alpha, pre)
+            px, py, pz = mx + dt * k1x, my + dt * k1y, mz + dt * k1z
+            k2x, k2y, k2z = _llg_rhs(px, py, pz, hx, hy, hz + hk * pz, aj, alpha, pre)
+            mx = mx + 0.5 * dt * (k1x + k2x)
+            my = my + 0.5 * dt * (k1y + k2y)
+            mz = mz + 0.5 * dt * (k1z + k2z)
+            norm = np.sqrt(mx * mx + my * my + mz * mz)
+            if not np.all(np.isfinite(norm)) or np.any(norm < 0.5):
+                raise ArithmeticError("integration blow-up: |m| left the unit sphere")
+            mx = mx / norm
+            my = my / norm
+            mz = mz / norm
+            newly = (mz < -0.5) & ~crossed
+            if newly.any():
+                crossed |= newly
+                first[newly] = start + j + 1
+    return (mx, my, mz, point), first, crossed

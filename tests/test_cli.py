@@ -220,6 +220,16 @@ def test_wer_sweep_zero_amplitude_never_switches(tmp_path):
     assert float(rows[0]["ln_wer"]) == 0.0
 
 
+@pytest.mark.parametrize("key,value", [("trials", 2.5), ("seed", "7"), ("trials", True)])
+def test_wer_sweep_non_integer_field_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulation": {key: value}}))
+    out = tmp_path / "o"
+    assert run_cli("wer-sweep", "--config", str(cfg), "--out", str(out)) == 1
+    assert re.search(f"simulation: {key} must be an integer", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_wer_sweep_without_onset_exits_one(tmp_path):
     assert run_cli("wer-sweep", "--amplitudes", "1.0,2.0,3.0",
                    "--trials", "20", "--out", str(tmp_path / "o")) == 1
@@ -502,7 +512,7 @@ PINNED_ERROR_TRAIN = {
     "mantissa": ("f5d8e891bd4f86c7e6983c7ba5ae60cb671ea60f62471c03df904394dd073906",
                  "a759cb788aeecc52f71e79e2d8af2a720f4beaf1f3a9aed3581445d4ad78c430"),
     "exponent": ("c4ef5686ca0efa5896369f886d31c6eebac2d99d3042df25ad9dab96ee541c02",
-                 "9460164ee153a9f064c31b89291015d4f65e18271607a0ae464d6d280e6ff94e"),
+                 "7ac47a3fa5dfed0c23aeef4d18d31246472db354ca0bb3f39cd6a2e2057af527"),
 }
 
 

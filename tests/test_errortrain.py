@@ -399,6 +399,24 @@ def test_diverged_result_shape():
     assert result.final_accuracy == 0.0 or result.test_accuracy
 
 
+def test_diverged_run_counts_every_sanitized_value(monkeypatch):
+    """The epoch that diverges has no curve row, but its sanitized values count."""
+    counted = []
+
+    def counting(*args):
+        out, stats = inject_tensor(*args)
+        counted.append(stats.sanitized)
+        return out, stats
+
+    monkeypatch.setattr("spinpad.errortrain.inject_tensor", counting)
+    result = train_with_errors(
+        replace(SPEC, seed=2), DATASET,
+        BufferErrorBinding.uniform(SegmentErrorConfig(exponent_wer=0.5)))
+    assert result.diverged
+    assert sum(counted) > sum(result.sanitized_per_epoch)
+    assert result.total_sanitized == sum(counted)
+
+
 def test_monotone_stress_majority():
     # mean accuracy trends down over the mantissa stress sweep; per adjacent
     # step a majority of seeds must be non-increasing (single runs are noisy)

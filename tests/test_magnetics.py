@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import axial_switch_time_ns, heun_axial
+from oracles import axial_switch_time_ns, heun_axial, heun_llg_reference
 
 from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import (
@@ -18,6 +18,7 @@ from spinpad.errors import (
     InsufficientDataError,
     InvalidFitError,
     InvalidParameterError,
+    NumericalFailureError,
 )
 from spinpad.magnetics import (
     KB_ERG,
@@ -42,7 +43,7 @@ from spinpad.magnetics import (
     thermal_field_std_oe,
     wer_from_psw,
 )
-from spinpad.magnetics import _integrate_batch
+from spinpad.magnetics import _initial_state, _integrate_batch, _llg_chunk
 
 # Frozen references for the default device (35x35x1 nm, Ms 1200, alpha 0.006,
 # delta 55, eta 1.15 kT/uA).
@@ -351,6 +352,55 @@ def test_batch_switch_steps_pinned():
                                 4.0, _LAYOUT_CFG, rngs)
     steps = np.where(np.isnan(times), -1, np.round(times * 1e3)).astype(int)
     assert steps.reshape(3, trials)[:, :8].tolist() == pinned
+
+
+def _chunk_args(aj, mz=None, steps=300):
+    """Arguments of a 3-point, 4-rows-per-point _llg_chunk call at 300 K.
+
+    Each call derives fresh streams, so two calls draw the same noise.
+    mz, if given, replaces the thermal initial states by tilts in one plane.
+    """
+    dev = default_device()
+    rngs = [derive_stream(11, i) for i in range(3)]
+    mx, my, mz0 = (np.concatenate(c)
+                   for c in zip(*(_initial_state(dev, r, 4) for r in rngs)))
+    if mz is not None:
+        st = np.sqrt(1.0 - mz * mz)
+        mx, my, mz0 = 0.6 * st, 0.8 * st, mz
+    alpha = dev.damping
+    return (rngs, thermal_field_std_oe(dev, 1.0), dev.anisotropy_field_oe, alpha,
+            dev.gyromagnetic_ratio_oe / (1.0 + alpha * alpha), 1e-12,
+            (mx, my, mz0, np.repeat(np.arange(3), 4)), aj, steps)
+
+
+_CHUNK_AJ = 0.006 * HK_OE * np.repeat([60.0, 100.0, 140.0], 4) / IC0_UA
+
+
+@pytest.mark.parametrize("aj,mz,steps", [
+    (_CHUNK_AJ, None, 300),  # per-row drive
+    (0.0, None, 300),  # relaxation: the torque terms are skipped
+    (_CHUNK_AJ, np.linspace(-0.2, -0.45, 12), 150),  # crossings after block 1
+], ids=["drive", "relax", "crossing"])
+def test_llg_chunk_matches_per_component_reference_bitwise(aj, mz, steps):
+    (mx, my, mz_end, _), first, drop = _llg_chunk(*_chunk_args(aj, mz, steps))
+    (rx, ry, rz, _), rfirst, rdrop = heun_llg_reference(*_chunk_args(aj, mz, steps))
+    for got, ref in ((mx, rx), (my, ry), (mz_end, rz)):
+        assert got.tobytes() == ref.tobytes()
+    assert first.tolist() == rfirst.tolist()
+    assert drop.tolist() == rdrop.tolist()
+    if mz is not None:
+        assert first.max() > 64 and steps % 64
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (0.0, 0.0, 0.0)],
+                         ids=["nan", "collapsed"])
+def test_llg_chunk_blow_up_raises(bad):
+    args = list(_chunk_args(_CHUNK_AJ))
+    mx, my, mz, point = (a.copy() for a in args[6])
+    mx[5], my[5], mz[5] = bad
+    args[6] = (mx, my, mz, point)
+    with pytest.raises(NumericalFailureError, match="unit sphere"):
+        _llg_chunk(*args)
 
 
 def test_find_switching_threshold_requires_zero_temp():
