@@ -302,6 +302,11 @@ class CalibrationTable:
                     )
                 except InvalidParameterError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                # anchors are base-mode points; write modes apply at query time
+                own_wer = 0.0 if kind == TechnologyKind.SRAM else WER_BASELINE
+                if metrics.wer != own_wer:
+                    raise ConfigError(f"{path}:{lineno}: {kind.value} wer must be "
+                                      f"{own_wer}, got {metrics.wer}")
                 anchors.setdefault(kind, []).append(metrics)
         try:
             return cls({k: tuple(v) for k, v in anchors.items()})

@@ -18,7 +18,8 @@ and never writes anything back. A tensor loaded from DRAM charges one DRAM
 read per element when placed; a tensor that does not fit stays in DRAM and
 every streamed access goes there instead. Weight gradients live in the error
 buffer; the loss gradient at the top of the network materializes in place,
-free of charge.
+free of charge. Under this policy DRAM traffic can rise with capacity between
+nearby points: a tensor that newly fits can push out one that is read later.
 
 DRAM read/write counts in the trace are in elements; the energy model
 (energy.estimate_energy) divides them by a configurable burst width.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError, InvalidLayerError, InvalidParameterError, NotAGemmError
@@ -205,48 +207,60 @@ _PHASE_STORES = {
 
 @dataclass
 class AccessTrace:
-    """Read/write counts per (layer, phase, store) plus compute totals."""
+    """Read/write counts per (layer, phase, store) plus compute totals.
 
-    accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict)
-    compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict)
+    `accesses` and `compute` are the per-key record that bench/spans.py and
+    the tests read. Only `add` and `set_compute` fill them, and they also keep
+    the totals per (phase, store) and per phase that every getter looks up.
+    """
+
+    accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict, init=False)
+    compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict, init=False)
+    _totals: dict[tuple[Phase, Store], list[int]] = field(default_factory=dict, init=False)
+    _phase_compute: dict[Phase, list[int]] = field(default_factory=dict, init=False)
 
     def add(self, layer: int, phase: Phase, store: Store,
             reads: int = 0, writes: int = 0) -> None:
         cell = self.accesses.setdefault((layer, phase, store), [0, 0])
         cell[0] += reads
         cell[1] += writes
+        total = self._totals.setdefault((phase, store), [0, 0])
+        total[0] += reads
+        total[1] += writes
 
     def set_compute(self, layer: int, phase: Phase, macs: int, cycles: int) -> None:
+        old_macs, old_cycles = self.compute.get((layer, phase), (0, 0))
         self.compute[(layer, phase)] = (macs, cycles)
+        total = self._phase_compute.setdefault(phase, [0, 0])
+        total[0] += macs - old_macs
+        total[1] += cycles - old_cycles
 
     def reads(self, store: Store) -> int:
-        return sum(v[0] for k, v in self.accesses.items() if k[2] == store)
+        return sum(self.phase_reads(phase, store) for phase in Phase)
 
     def writes(self, store: Store) -> int:
-        return sum(v[1] for k, v in self.accesses.items() if k[2] == store)
+        return sum(self.phase_writes(phase, store) for phase in Phase)
 
     def dram_elements(self) -> int:
         return self.reads(Store.DRAM) + self.writes(Store.DRAM)
 
     def total_macs(self) -> int:
-        return sum(m for m, _ in self.compute.values())
+        return sum(self.phase_macs(phase) for phase in Phase)
 
     def total_cycles(self) -> int:
-        return sum(c for _, c in self.compute.values())
+        return sum(self.phase_cycles(phase) for phase in Phase)
 
     def phase_macs(self, phase: Phase) -> int:
-        return sum(m for (_, p), (m, _) in self.compute.items() if p == phase)
+        return self._phase_compute.get(phase, (0, 0))[0]
 
     def phase_cycles(self, phase: Phase) -> int:
-        return sum(c for (_, p), (_, c) in self.compute.items() if p == phase)
+        return self._phase_compute.get(phase, (0, 0))[1]
 
     def phase_reads(self, phase: Phase, store: Store) -> int:
-        return sum(v[0] for k, v in self.accesses.items()
-                   if k[1] == phase and k[2] == store)
+        return self._totals.get((phase, store), (0, 0))[0]
 
     def phase_writes(self, phase: Phase, store: Store) -> int:
-        return sum(v[1] for k, v in self.accesses.items()
-                   if k[1] == phase and k[2] == store)
+        return self._totals.get((phase, store), (0, 0))[1]
 
 
 @dataclass
@@ -273,12 +287,10 @@ class _Buffers:
         self.resident: dict[Store, list[_Tensor]] = {
             Store.ACTIVATION: [], Store.WEIGHT: [], Store.ERROR: []
         }
+        self.capacity = {store: cfg.buffer_bytes(store) for store in self.resident}
+        self.used = dict.fromkeys(self.resident, 0)  # bytes of resident[store]
         self.backward = False
         self._seq = 0
-
-    def _free_bytes(self, store: Store) -> int:
-        used = sum(t.bytes(self.cfg) for t in self.resident[store])
-        return self.cfg.buffer_bytes(store) - used
 
     def _evict_one(self, store: Store) -> None:
         pool = self.resident[store]
@@ -292,20 +304,30 @@ class _Buffers:
                 victim = min(pool, key=lambda t: t.seq)
         pool.remove(victim)
         victim.resident = False
+        self.used[store] -= victim.bytes(self.cfg)
 
     def place(self, tensor: _Tensor) -> bool:
         """Try to make a tensor resident in its home buffer; True if placed."""
         store = tensor.home
-        if tensor.bytes(self.cfg) > self.cfg.buffer_bytes(store):
+        size = tensor.bytes(self.cfg)
+        if size > self.capacity[store]:
             return False
-        while self._free_bytes(store) < tensor.bytes(self.cfg):
+        while self.capacity[store] - self.used[store] < size:
             self._evict_one(store)
         tensor.resident = True
         tensor.era = 1 if self.backward else 0
         tensor.seq = self._seq
         self._seq += 1
         self.resident[store].append(tensor)
+        self.used[store] += size
         return True
+
+
+@lru_cache(maxsize=4096)
+def _gemm_counts(layer: LayerSpec, phase: Phase, rows: int, cols: int) -> PhaseCounts:
+    """count_phase_accesses of one layer's phase, which reads only rows x cols."""
+    return count_phase_accesses(gemm_view(layer, phase),
+                                AcceleratorConfig(rows=rows, cols=cols))
 
 
 def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> AccessTrace:
@@ -332,7 +354,7 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
 
     def run_gemm(layer_idx: int, layer: LayerSpec, phase: Phase,
                  row_t: _Tensor, col_t: _Tensor, out_t: _Tensor) -> None:
-        counts = count_phase_accesses(gemm_view(layer, phase), cfg)
+        counts = _gemm_counts(layer, phase, cfg.rows, cfg.cols)
         trace.add(layer_idx, phase, row_t.location(), reads=counts.row_reads)
         trace.add(layer_idx, phase, col_t.location(), reads=counts.col_reads)
         trace.add(layer_idx, phase, out_t.location(), writes=counts.result_writes)

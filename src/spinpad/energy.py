@@ -116,7 +116,10 @@ class EnergyReport:
 
 def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
                     err: ArrayMetrics, sys: SystemEnergyConfig) -> EnergyReport:
-    """Energy and serialized-time report for one iteration's trace."""
+    """Energy and serialized-time report for one iteration's trace.
+
+    Reads the trace's per-(phase, store) and per-phase totals, not its per-key record.
+    """
     buffers = ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))
     leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
     per_phase: dict[Phase, PhaseEnergy] = {}

@@ -219,3 +219,20 @@ def heun_llg_reference(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
                 crossed |= newly
                 first[newly] = start + j + 1
     return (mx, my, mz, point), first, crossed
+
+
+def phase_totals(trace):
+    """Per-phase totals of an access trace, by scanning its per-key record.
+
+    Returns ({(phase, store): (reads, writes)}, {phase: (macs, cycles)}) with
+    an entry for every phase and store that occurs in the trace's keys.
+    """
+    access = {}
+    for (_, phase, store), (reads, writes) in trace.accesses.items():
+        r, w = access.get((phase, store), (0, 0))
+        access[(phase, store)] = (r + reads, w + writes)
+    compute = {}
+    for (_, phase), (macs, cycles) in trace.compute.items():
+        m, c = compute.get(phase, (0, 0))
+        compute[phase] = (m + macs, c + cycles)
+    return access, compute

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,24 @@ def test_csv_errors(tmp_path):
     path.write_text(header)
     with pytest.raises(ConfigError):
         CalibrationTable.from_csv(path)  # no anchors at all
+
+
+@pytest.mark.parametrize("row,match", [
+    ("sram,183.0,0.5,0.2,0.1,0.1,0.1,594.0,1e-9", "sram wer must be 0.0, got 1e-09"),
+    ("mram_base,512.0,0.5,3.3,10.2,0.3,1.5,323.0,0.0",
+     f"mram_base wer must be {WER_BASELINE}, got 0.0"),
+    ("mram_low_voltage,512.0,0.5,3.3,10.2,0.3,1.5,323.0,8e-4",
+     f"mram_low_voltage wer must be {WER_BASELINE}, got 0.0008"),
+])
+def test_csv_rejects_wer_other_than_the_technologys(tmp_path, row, match):
+    # metrics_at_capacity reports the technology's WER, so a row that claims
+    # another one would be silently ignored
+    lines = (CONFIGS / "calibration_default.csv").read_text().splitlines()
+    lines.insert(3, row)
+    path = tmp_path / "cal.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:4: {match}")):
+        CalibrationTable.from_csv(path)
 
 
 @given(cap=st.floats(min_value=32.0, max_value=524288.0, allow_nan=False))

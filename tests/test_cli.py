@@ -526,6 +526,57 @@ def test_bundled_error_train_outputs_pinned(tmp_path, name):
     assert digests == PINNED_ERROR_TRAIN[name]
 
 
+# sha256 of (compare.csv, breakdown.json) of the system-compare path: the two
+# bundled configs on the toy VGG, and a dense VGG-16 iso-capacity sweep whose
+# FIFO eviction decisions change from point to point. A change to the trace
+# or energy bookkeeping that alters one bit of a report fails here.
+PINNED_SYSTEM_COMPARE = {
+    "iso_area": ("800ae1dc23008d6405023543c1fe4a3747baca21b39ce96106d9369fa75a1b67",
+                 "59330b0df7fe8796e63efa120a35a0d97e263e87bcb47728ffa8c6b87a896c25"),
+    "iso_capacity": ("40a4ec366c0ed5f9524d93498da2f6c0fba0ea33b4f50e5011325ffd4dd21b5d",
+                     "ced2d9eebdbe792c1e0858667a75de1ed2ec3a9dd727e3961d929aed3bd42fab"),
+    "vgg16_dense": ("62142bba08b5be66c53480090a94085a24ab29e7c8e91abc83eaa91ad63a80b9",
+                    "10ebcc4c9b956034ac25ed8398059d10429739148a0e3f4a83a453b899fe55d5"),
+}
+
+# VGG-16 at 224x224, batch 32, with pooling folded into the next layer's input
+_VGG16_CONVS = ((3, 64, 224), (64, 64, 224), (64, 128, 112), (128, 128, 112),
+                (128, 256, 56), (256, 256, 56), (256, 256, 56),
+                (256, 512, 28), (512, 512, 28), (512, 512, 28),
+                (512, 512, 14), (512, 512, 14), (512, 512, 14))
+_VGG16_FCS = ((25088, 4096), (4096, 4096), (4096, 1000))
+# 48 log-spaced capacities from 32 KB to 512 MB (32 * 2^14 KB)
+_DENSE_CAPACITIES_KB = [32.0 * 2.0 ** (14 * i / 47) for i in range(48)]
+
+
+def _system_compare_args(name, tmp_path):
+    if name != "vgg16_dense":
+        return ["--config", str(CONFIGS / f"compare_{name}.json"),
+                "--workload", str(CONFIGS / "workload_vgg_toy.txt")]
+    wl = tmp_path / "vgg16.txt"
+    wl.write_text("".join(
+        [f"conv b=32 i={i} m={m} n={m} o={o} k=3 stride=1 pad=1\n"
+         for i, o, m in _VGG16_CONVS]
+        + [f"fc b=32 in={i} out={o}\n" for i, o in _VGG16_FCS]))
+    cfg = tmp_path / "dense.json"
+    cfg.write_text(json.dumps({"mode": "iso-capacity", "sweep": _DENSE_CAPACITIES_KB,
+                               "tech_a": "sram", "tech_b": "mram_base"}))
+    return ["--config", str(cfg), "--workload", str(wl)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYSTEM_COMPARE))
+def test_system_compare_outputs_pinned(tmp_path, name):
+    out = tmp_path / "o"
+    argv = _system_compare_args(name, tmp_path)
+    assert run_cli("system-compare", *argv, "--out", str(out)) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("compare.csv", "breakdown.json"))
+    assert digests == PINNED_SYSTEM_COMPARE[name]
+    if name == "vgg16_dense":  # the grid is dense enough to move FIFO decisions
+        rows = read_csv(out / "compare.csv")
+        assert len({r["dram_elements_a"] for r in rows}) > 30
+
+
 def test_error_train_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(_experiment(

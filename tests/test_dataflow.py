@@ -1,12 +1,14 @@
 import sys
+from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_gemm_counts
+from oracles import brute_force_gemm_counts, phase_totals
 
 from spinpad.dataflow import (
     AcceleratorConfig,
@@ -36,6 +38,9 @@ from spinpad.errors import (
 BIG = AcceleratorConfig(activation_buffer_kb=64, weight_buffer_kb=64,
                         error_buffer_kb=64)
 CANON_CONV = Conv(1, 1, 4, 4, 1, 3, 1, 0)
+
+TOY_VGG = Path(__file__).parent.parent / "configs" / "workload_vgg_toy.txt"
+GEMM_PHASES = (Phase.FORWARD, Phase.BACKWARD_INPUT_GRAD, Phase.BACKWARD_WEIGHT_GRAD)
 
 TOY_NET = [
     Conv(2, 3, 8, 8, 8, 3, 1, 1),
@@ -188,6 +193,17 @@ def test_dram_monotone_in_buffer_capacity():
     assert counts[-1] < counts[0]
 
 
+def test_fifo_dram_traffic_can_rise_with_capacity():
+    # current behaviour, not a goal: at 1064 KB layer 1's 1024 KB output fits,
+    # and placing it evicts tensors that later stream from DRAM
+    counts = []
+    for kb in (1004.0, 1064.0):
+        cfg = AcceleratorConfig(activation_buffer_kb=kb, weight_buffer_kb=kb,
+                                error_buffer_kb=kb)
+        counts.append(simulate_iteration(load_workload(TOY_VGG), cfg).dram_elements())
+    assert counts == [16_795_056, 18_660_272]
+
+
 def test_determinism():
     a = simulate_iteration(TOY_NET, BIG)
     b = simulate_iteration(TOY_NET, BIG)
@@ -303,3 +319,66 @@ def test_tensor_size_helpers():
     assert activation_elements(fc) == 6
     assert output_elements(fc) == 8
     assert weight_elements(fc) == 12
+
+
+_PLACE = _Buffers.place
+
+
+def _place_checking_used(self, tensor):
+    placed = _PLACE(self, tensor)
+    for store, pool in self.resident.items():
+        assert self.used[store] == sum(t.bytes(self.cfg) for t in pool), store
+    return placed
+
+
+def _assert_getters_equal_oracle(trace):
+    access, compute = phase_totals(trace)
+    for phase in Phase:
+        assert (trace.phase_macs(phase), trace.phase_cycles(phase)) == \
+            compute.get(phase, (0, 0))
+        for store in Store:
+            assert (trace.phase_reads(phase, store),
+                    trace.phase_writes(phase, store)) == \
+                access.get((phase, store), (0, 0))
+
+
+def _check_bookkeeping(workload, act_kb, wt_kb, err_kb, shapes):
+    for rows, cols in shapes:
+        cfg = AcceleratorConfig(rows=rows, cols=cols, activation_buffer_kb=act_kb,
+                                weight_buffer_kb=wt_kb, error_buffer_kb=err_kb)
+        with mock.patch.object(_Buffers, "place", _place_checking_used):
+            trace = simulate_iteration(workload, cfg)
+        _assert_getters_equal_oracle(trace)
+        for l, layer in enumerate(workload, start=1):
+            for phase in GEMM_PHASES:
+                ref = brute_force_gemm_counts(*astuple(gemm_view(layer, phase)),
+                                              rows, cols)
+                assert trace.compute[(l, phase)] == (ref["macs"], ref["cycles"])
+        # overwriting a compute record replaces it in the totals
+        trace.set_compute(1, Phase.FORWARD, 7, 11)
+        trace.set_compute(1, Phase.FORWARD, 3, 5)
+        _assert_getters_equal_oracle(trace)
+
+
+_CONVS = st.builds(
+    Conv, batch=st.integers(1, 4), in_channels=st.integers(1, 8),
+    in_height=st.integers(3, 10), in_width=st.integers(3, 10),
+    out_channels=st.integers(1, 8), kernel=st.integers(1, 3),
+    stride=st.integers(1, 2), padding=st.integers(0, 1))
+_FCS = st.builds(FullyConnected, batch=st.integers(1, 4),
+                 in_features=st.integers(1, 64), out_features=st.integers(1, 64))
+_KB = st.floats(min_value=0.05, max_value=32.0)
+
+
+@given(workload=st.lists(st.one_of(_CONVS, _FCS), min_size=1, max_size=4),
+       act_kb=_KB, wt_kb=_KB, err_kb=_KB)
+@settings(max_examples=60, deadline=None)
+def test_trace_totals_and_buffer_bytes_equal_oracle(workload, act_kb, wt_kb, err_kb):
+    _check_bookkeeping(workload, act_kb, wt_kb, err_kb,
+                       shapes=((4, 4), (4, 16), (16, 4)))
+
+
+@pytest.mark.parametrize("kb", [64.0, 256.0, 1004.0, 1064.0])
+def test_toy_vgg_totals_and_buffer_bytes_equal_oracle(kb):
+    _check_bookkeeping(load_workload(TOY_VGG), kb, kb, kb,
+                       shapes=((16, 16), (16, 64), (64, 16)))
