@@ -42,7 +42,8 @@ from .energy import (
     compare_iso_capacity,
     hetero_write_energy,
 )
-from .errors import ConfigError, InvalidParameterError, SpinpadError, config_from
+from .errors import (ConfigError, InvalidParameterError, SpinpadError, check_int,
+                     config_from)
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -191,7 +192,7 @@ class _WerSweep:
     def __post_init__(self) -> None:
         self.durations_ns = tuple(map(float, self.durations_ns))
         self.amplitudes_ua = tuple(map(float, self.amplitudes_ua))
-        self.workers = int(self.workers)
+        check_int("workers", self.workers)
 
 
 def _resolve_wer_sweep(args) -> _WerSweep:
@@ -329,10 +330,11 @@ def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
     compare = (compare_iso_capacity if cfg.mode == "iso-capacity"
                else compare_iso_area)
     rows, points, failures = [], [], 0
+    memo: dict = {}  # the last trace per side, reused inside its decision ranges
     for i, value in enumerate(cfg.sweep):
         try:
             pt = compare(workload, cfg.accelerator, value, tech_a, tech_b,
-                         table=table, sys=cfg.system)
+                         table=table, sys=cfg.system, memo=memo)
         except SpinpadError as exc:
             failures += 1
             rows.append([i, cfg.mode, _fmt(value), "error", str(exc),
@@ -377,7 +379,7 @@ class _HeteroWrite:
     bit_energy_pj: float = 1.0
 
     def __post_init__(self) -> None:
-        self.mantissa_bits = int(self.mantissa_bits)
+        check_int("mantissa_bits", self.mantissa_bits)
         self.bit_energy_pj = float(self.bit_energy_pj)
 
 

@@ -21,6 +21,12 @@ buffer; the loss gradient at the top of the network materializes in place,
 free of charge. Under this policy DRAM traffic can rise with capacity between
 nearby points: a tensor that newly fits can push out one that is read later.
 
+Every placement compares a tensor's bytes with its buffer's capacity, so a
+trace also carries, per store, the byte range [lo, hi) of capacities over
+which each of those comparisons comes out the same. Inside that range the
+same tensors are placed and evicted in the same order, so the trace is
+identical, and a caller may reuse it for any capacity in the range.
+
 DRAM read/write counts in the trace are in elements; the energy model
 (energy.estimate_energy) divides them by a configurable burst width.
 """
@@ -30,9 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import inf
 from pathlib import Path
 
-from .errors import ConfigError, InvalidLayerError, InvalidParameterError, NotAGemmError
+from .errors import (ConfigError, InvalidLayerError, InvalidParameterError,
+                     NotAGemmError, check_int)
 
 
 class Phase(str, Enum):
@@ -97,6 +105,8 @@ class AcceleratorConfig:
     element_size_bytes: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols", "element_size_bytes"):
+            check_int(name, getattr(self, name))
         if self.rows < 1 or self.cols < 1:
             raise InvalidParameterError("array dimensions must be >= 1")
         for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
@@ -212,12 +222,19 @@ class AccessTrace:
     `accesses` and `compute` are the per-key record that bench/spans.py and
     the tests read. Only `add` and `set_compute` fill them, and they also keep
     the totals per (phase, store) and per phase that every getter looks up.
+
+    `capacity_range[store]` is the byte range [lo, hi) of that buffer's
+    capacity over which every placement decision of simulate_iteration comes
+    out the same (hi may be inf). The stores decide independently, so the
+    trace built at any capacities inside all three ranges, with the same
+    workload, rows and cols, equals this one record for record.
     """
 
     accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict, init=False)
     compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict, init=False)
     _totals: dict[tuple[Phase, Store], list[int]] = field(default_factory=dict, init=False)
     _phase_compute: dict[Phase, list[int]] = field(default_factory=dict, init=False)
+    capacity_range: dict[Store, list[int | float]] = field(default_factory=dict, init=False)
 
     def add(self, layer: int, phase: Phase, store: Store,
             reads: int = 0, writes: int = 0) -> None:
@@ -289,6 +306,7 @@ class _Buffers:
         }
         self.capacity = {store: cfg.buffer_bytes(store) for store in self.resident}
         self.used = dict.fromkeys(self.resident, 0)  # bytes of resident[store]
+        self.bounds = {store: [0, inf] for store in self.resident}  # [lo, hi), see place
         self.backward = False
         self._seq = 0
 
@@ -310,10 +328,14 @@ class _Buffers:
         """Try to make a tensor resident in its home buffer; True if placed."""
         store = tensor.home
         size = tensor.bytes(self.cfg)
+        bound = self.bounds[store]
         if size > self.capacity[store]:
+            bound[1] = min(bound[1], size)
             return False
         while self.capacity[store] - self.used[store] < size:
+            bound[1] = min(bound[1], self.used[store] + size)
             self._evict_one(store)
+        bound[0] = max(bound[0], self.used[store] + size)
         tensor.resident = True
         tensor.era = 1 if self.backward else 0
         tensor.seq = self._seq
@@ -385,6 +407,7 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
         trace.add(l, Phase.WEIGHT_UPDATE, wgrads[l].location(), reads=w)
         trace.set_compute(l, Phase.WEIGHT_UPDATE, 0, 0)
 
+    trace.capacity_range = buffers.bounds
     return trace
 
 

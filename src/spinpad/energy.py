@@ -8,7 +8,10 @@ so the per-phase breakdown sums exactly to the totals.
 Two comparison regimes mirror the design-space questions the models answer:
 iso-capacity (both technologies get the same buffer capacity, hence the same
 access trace) and iso-area (each technology first converts the area budget
-into its own capacity, so the traces differ too).
+into its own capacity, so the traces differ too). A sweep passes one memo to
+every point, which keeps the last trace of each side and reuses it while the
+capacities stay inside the trace's decision ranges (see dataflow), so a sweep
+builds one trace per decision range it passes through, not one per point.
 
 The heterogeneous write-energy model splits a binary32 word into sign /
 exponent / mantissa segments stored on arrays with different write operating
@@ -35,7 +38,7 @@ from .dataflow import (
     Store,
     simulate_iteration,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 SIGN_BITS = 1
 EXPONENT_BITS = 8
@@ -58,6 +61,7 @@ class SystemEnergyConfig:
                      "mac_energy_pj", "clock_ghz"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
+        check_int("dram_burst_elements", self.dram_burst_elements)
         if self.dram_burst_elements < 1:
             raise InvalidParameterError("dram_burst_elements must be >= 1")
 
@@ -179,16 +183,33 @@ def _buffered(cfg: AcceleratorConfig, capacity_kb: float) -> AcceleratorConfig:
                    weight_buffer_kb=capacity_kb, error_buffer_kb=capacity_kb)
 
 
+def _trace(workload: list[LayerSpec], cfg: AcceleratorConfig,
+           memo: dict | None, side: int) -> AccessTrace:
+    """simulate_iteration, or the memo's last trace of this side when the
+    workload and every accelerator field but the capacities are the same and
+    each buffer's capacity lies in the trace's range. The memo is a dict that
+    one sweep creates and passes to each of its points."""
+    if memo is None:
+        return simulate_iteration(workload, cfg)
+    key = (tuple(workload), _buffered(cfg, 1.0))
+    last = memo.get(side)
+    if last is None or last[0] != key or not all(
+            lo <= cfg.buffer_bytes(store) < hi
+            for store, (lo, hi) in last[1].capacity_range.items()):
+        last = memo[side] = (key, simulate_iteration(workload, cfg))
+    return last[1]
+
+
 def compare_iso_capacity(
     workload: list[LayerSpec], cfg: AcceleratorConfig, capacity_kb: float,
     tech_a: MemoryTechnology, tech_b: MemoryTechnology,
     table: CalibrationTable | None = None,
-    sys: SystemEnergyConfig | None = None,
+    sys: SystemEnergyConfig | None = None, memo: dict | None = None,
 ) -> ComparisonPoint:
     """Same per-buffer capacity for both technologies: one shared trace."""
     table = table or CalibrationTable.default()
     sys = sys or SystemEnergyConfig()
-    trace = simulate_iteration(workload, _buffered(cfg, capacity_kb))
+    trace = _trace(workload, _buffered(cfg, capacity_kb), memo, 0)
     reports = []
     for tech in (tech_a, tech_b):
         m = metrics_at_capacity(table, tech, capacity_kb)
@@ -203,15 +224,15 @@ def compare_iso_area(
     workload: list[LayerSpec], cfg: AcceleratorConfig, area_mm2: float,
     tech_a: MemoryTechnology, tech_b: MemoryTechnology,
     table: CalibrationTable | None = None,
-    sys: SystemEnergyConfig | None = None,
+    sys: SystemEnergyConfig | None = None, memo: dict | None = None,
 ) -> ComparisonPoint:
     """Equal silicon budget: each technology resolves its own capacity."""
     table = table or CalibrationTable.default()
     sys = sys or SystemEnergyConfig()
     caps, reports, drams = [], [], []
-    for tech in (tech_a, tech_b):
+    for side, tech in enumerate((tech_a, tech_b)):
         cap = capacity_at_area(table, tech, area_mm2)
-        trace = simulate_iteration(workload, _buffered(cfg, cap))
+        trace = _trace(workload, _buffered(cfg, cap), memo, side)
         m = metrics_at_capacity(table, tech, cap)
         caps.append(cap)
         reports.append(estimate_energy(trace, m, m, m, sys))

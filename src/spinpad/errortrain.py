@@ -143,15 +143,6 @@ def inject_tensor(values: np.ndarray, cfg: SegmentErrorConfig,
     return out, InjectionStats(flips, sanitized)
 
 
-def inject_word(value: float, cfg: SegmentErrorConfig,
-                rng: np.random.Generator) -> float:
-    """One binary32 word through the write-error channel."""
-    if not math.isfinite(value):
-        raise InvalidParameterError("inject_word requires a finite input")
-    out, _ = inject_tensor(np.array([value], dtype=np.float32), cfg, rng)
-    return float(out[0])
-
-
 # ----------------------------------------------------------------- dataset
 
 @dataclass(frozen=True)
@@ -289,36 +280,6 @@ def loss_and_gradients(params, x, y, activation: str = "tanh",
         if i:
             e = (e @ w.T) * act_deriv(acts[i])
     return value, grads
-
-
-def gradient_check(spec: TinyNetSpec, x, y, loss: str = "cross_entropy",
-                   params=None, step: float = 1e-4) -> float:
-    """Max relative error of analytic vs central-difference gradients (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if params is None:
-        params = init_params(spec, dtype=np.float64)
-    else:
-        params = [(np.asarray(w, np.float64), np.asarray(b, np.float64))
-                  for w, b in params]
-    _, grads = loss_and_gradients(params, x, y, spec.activation, loss)
-    worst = 0.0
-    for li, (w, b) in enumerate(params):
-        for tensor, grad in ((w, grads[li][0]), (b, grads[li][1])):
-            flat = tensor.reshape(-1)
-            gflat = grad.reshape(-1)
-            for j in range(flat.size):
-                keep = flat[j]
-                flat[j] = keep + step
-                up, _ = loss_and_gradients(params, x, y, spec.activation, loss)
-                flat[j] = keep - step
-                dn, _ = loss_and_gradients(params, x, y, spec.activation, loss)
-                flat[j] = keep
-                numeric = (up - dn) / (2.0 * step)
-                scale = max(abs(gflat[j]), abs(numeric))
-                if scale > 1e-8:
-                    worst = max(worst, abs(gflat[j] - numeric) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------- training

@@ -5,7 +5,12 @@ dumbest possible numerics (fixed-step RK4, brute-force loop nests) so that a
 bug in the package and a bug in the oracle are unlikely to coincide.
 """
 
+import math
+
 import numpy as np
+
+from spinpad.errors import InvalidParameterError
+from spinpad.errortrain import init_params, inject_tensor, loss_and_gradients
 
 KB_ERG = 1.380649e-16
 GYRO = 1.76e7
@@ -236,3 +241,40 @@ def phase_totals(trace):
         m, c = compute.get(phase, (0, 0))
         compute[phase] = (m + macs, c + cycles)
     return access, compute
+
+
+def inject_word(value, cfg, rng):
+    """One binary32 word through the write-error channel of inject_tensor."""
+    if not math.isfinite(value):
+        raise InvalidParameterError("inject_word requires a finite input")
+    out, _ = inject_tensor(np.array([value], dtype=np.float32), cfg, rng)
+    return float(out[0])
+
+
+def gradient_check(spec, x, y, loss="cross_entropy", params=None, step=1e-4):
+    """Max relative error of loss_and_gradients vs central differences (float64)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if params is None:
+        params = init_params(spec, dtype=np.float64)
+    else:
+        params = [(np.asarray(w, np.float64), np.asarray(b, np.float64))
+                  for w, b in params]
+    _, grads = loss_and_gradients(params, x, y, spec.activation, loss)
+    worst = 0.0
+    for li, (w, b) in enumerate(params):
+        for tensor, grad in ((w, grads[li][0]), (b, grads[li][1])):
+            flat = tensor.reshape(-1)
+            gflat = grad.reshape(-1)
+            for j in range(flat.size):
+                keep = flat[j]
+                flat[j] = keep + step
+                up, _ = loss_and_gradients(params, x, y, spec.activation, loss)
+                flat[j] = keep - step
+                dn, _ = loss_and_gradients(params, x, y, spec.activation, loss)
+                flat[j] = keep
+                numeric = (up - dn) / (2.0 * step)
+                scale = max(abs(gflat[j]), abs(numeric))
+                if scale > 1e-8:
+                    worst = max(worst, abs(gflat[j] - numeric) / scale)
+    return worst

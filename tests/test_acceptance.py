@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_gemm_counts
+from oracles import brute_force_gemm_counts, gradient_check
 
 from spinpad.arraymodel import (
     CalibrationTable,
@@ -46,7 +46,6 @@ from spinpad.errortrain import (
     ExperimentConfig,
     SegmentErrorConfig,
     TinyNetSpec,
-    gradient_check,
     make_moons_dataset,
     run_experiment,
     train_reference,

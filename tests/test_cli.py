@@ -504,6 +504,28 @@ def test_error_train_non_integer_field_exits_one(tmp_path, capsys, overrides, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,key", [
+    ("system-compare", {"accelerator": {"rows": 16.5, "cols": 16}, "sweep": [64.0]},
+     "accelerator: rows"),
+    ("system-compare", {"accelerator": {"cols": 16.0}, "sweep": [64.0]},
+     "accelerator: cols"),
+    ("system-compare", {"accelerator": {"element_size_bytes": 4.0}, "sweep": [64.0]},
+     "accelerator: element_size_bytes"),
+    ("system-compare", {"system": {"dram_burst_elements": 16.5}, "sweep": [64.0]},
+     "system: dram_burst_elements"),
+    ("wer-sweep", {"workers": 1.9}, "workers"),
+    ("wer-sweep", {"workers": True}, "workers"),
+    ("hetero-write", {"mantissa_bits": 7.9}, "mantissa_bits"),
+])
+def test_non_integer_count_exits_one(tmp_path, capsys, command, section, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert re.search(f"{key} must be an integer", capsys.readouterr().err)
+    assert not out.exists()
+
+
 # sha256 of (curves.csv, summary.json) of each bundled error-train config:
 # a change to the injection path that alters one bit of a curve fails here
 PINNED_ERROR_TRAIN = {

@@ -1,8 +1,9 @@
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_force_gemm_counts, phase_totals
 
+from spinpad import energy
+from spinpad.arraymodel import MemoryTechnology
+from spinpad.cli import main as cli_main
 from spinpad.dataflow import (
     AcceleratorConfig,
     Conv,
@@ -28,6 +32,7 @@ from spinpad.dataflow import (
     simulate_iteration,
     weight_elements,
 )
+from spinpad.energy import _buffered, compare_iso_area, compare_iso_capacity
 from spinpad.errors import (
     ConfigError,
     InvalidLayerError,
@@ -38,6 +43,8 @@ from spinpad.errors import (
 BIG = AcceleratorConfig(activation_buffer_kb=64, weight_buffer_kb=64,
                         error_buffer_kb=64)
 CANON_CONV = Conv(1, 1, 4, 4, 1, 3, 1, 0)
+SRAM = MemoryTechnology.sram()
+MRAM = MemoryTechnology.mram_base()
 
 TOY_VGG = Path(__file__).parent.parent / "configs" / "workload_vgg_toy.txt"
 GEMM_PHASES = (Phase.FORWARD, Phase.BACKWARD_INPUT_GRAD, Phase.BACKWARD_WEIGHT_GRAD)
@@ -382,3 +389,117 @@ def test_trace_totals_and_buffer_bytes_equal_oracle(workload, act_kb, wt_kb, err
 def test_toy_vgg_totals_and_buffer_bytes_equal_oracle(kb):
     _check_bookkeeping(load_workload(TOY_VGG), kb, kb, kb,
                        shapes=((16, 16), (16, 64), (64, 16)))
+
+
+_KB_FIELDS = {Store.ACTIVATION: "activation_buffer_kb",
+              Store.WEIGHT: "weight_buffer_kb", Store.ERROR: "error_buffer_kb"}
+
+
+@given(workload=st.lists(st.one_of(_CONVS, _FCS), min_size=1, max_size=4),
+       act_kb=_KB, wt_kb=_KB, err_kb=_KB)
+@settings(max_examples=60, deadline=None)
+def test_trace_is_the_same_at_both_ends_of_its_capacity_range(workload, act_kb,
+                                                               wt_kb, err_kb):
+    cfg = AcceleratorConfig(rows=4, cols=16, activation_buffer_kb=act_kb,
+                            weight_buffer_kb=wt_kb, error_buffer_kb=err_kb)
+    trace = simulate_iteration(workload, cfg)
+    assert set(trace.capacity_range) == set(_KB_FIELDS)
+    for store, (lo, hi) in trace.capacity_range.items():
+        built_at = cfg.buffer_bytes(store)
+        assert lo <= built_at < hi, store
+        # a buffer of 0 bytes is invalid; an unbounded range is probed far above
+        for nbytes in (max(lo, 1), hi - 1 if hi < float("inf") else 4 * built_at):
+            other = simulate_iteration(
+                workload, replace(cfg, **{_KB_FIELDS[store]: nbytes / 1024}))
+            assert other.accesses == trace.accesses, (store, nbytes)
+            assert other.compute == trace.compute, (store, nbytes)
+
+
+# batches and tensors large enough for FIFO decisions inside the calibrated
+# range of the array model (16 KB and up)
+_BIG_CONVS = st.builds(
+    Conv, batch=st.integers(1, 16), in_channels=st.integers(1, 16),
+    in_height=st.integers(8, 32), in_width=st.integers(8, 32),
+    out_channels=st.integers(1, 16), kernel=st.integers(1, 3),
+    stride=st.integers(1, 2), padding=st.integers(0, 1))
+_BIG_FCS = st.builds(FullyConnected, batch=st.integers(1, 16),
+                     in_features=st.integers(1, 2048),
+                     out_features=st.integers(1, 2048))
+_MIN_CAPACITY_BYTES = 16 * 1024
+
+
+def _joint_decision_ranges(workload, cfg):
+    """The iso-capacity ranges [lo, hi) in bytes met walking up from 16 KB."""
+    ranges, nbytes = [], _MIN_CAPACITY_BYTES
+    while nbytes < float("inf"):
+        trace = simulate_iteration(workload, _buffered(cfg, nbytes / 1024))
+        lo = max(r[0] for r in trace.capacity_range.values())
+        hi = min(r[1] for r in trace.capacity_range.values())
+        assert lo <= nbytes < hi
+        ranges.append((lo, hi))
+        nbytes = hi
+    return ranges
+
+
+def _assert_memo_point_exact(workload, cfg, nbytes, memo):
+    got = compare_iso_capacity(workload, cfg, nbytes / 1024, SRAM, MRAM, memo=memo)
+    assert got == compare_iso_capacity(workload, cfg, nbytes / 1024, SRAM, MRAM), nbytes
+
+
+@given(workload=st.lists(st.one_of(_BIG_CONVS, _BIG_FCS), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_memo_sweep_equals_sweep_without_memo(workload):
+    cfg = AcceleratorConfig(rows=16, cols=16)
+    ranges = _joint_decision_ranges(workload, cfg)
+    # lo - 1, lo, hi - 1 and hi of every range, inside the calibrated span
+    edges = {_MIN_CAPACITY_BYTES} | {e + d for r in ranges for e in r for d in (-1, 0)}
+    grid = sorted(n for n in edges if _MIN_CAPACITY_BYTES <= n < float("inf"))
+    for order in (grid, grid[::-1]):
+        memo, built = {}, []
+        for nbytes in order:
+            _assert_memo_point_exact(workload, cfg, nbytes, memo)
+            if not built or memo[0][1] is not built[-1]:
+                built.append(memo[0][1])
+        assert len(built) == len(ranges)  # one trace per decision range
+    # one memo serving several arrays at one capacity must not mix them up
+    memo = {}
+    for nbytes in grid:
+        for shape in (cfg, replace(cfg, rows=4), replace(cfg, cols=4)):
+            _assert_memo_point_exact(workload, shape, nbytes, memo)
+    memo = {}
+    for area_mm2 in np.geomspace(0.12, 20.0, 80):  # anchored from 0.1145 mm^2
+        got = compare_iso_area(workload, cfg, area_mm2, SRAM, MRAM, memo=memo)
+        assert got == compare_iso_area(workload, cfg, area_mm2, SRAM, MRAM)
+
+
+def test_each_sweep_builds_its_own_traces(tmp_path):
+    toy = TOY_VGG.read_text()
+    paths = {}
+    for name, text in (("a", toy), ("b", toy.replace("b=64", "b=16")), ("a2", toy)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    layers = {name: load_workload(path) for name, path in paths.items()}
+    # the memo compares layers, not list identity: a list changed in place
+    # holds another workload
+    workload, memo = [], {}
+    for name in paths:
+        workload[:] = layers[name]
+        got = compare_iso_capacity(workload, BIG, 512.0, SRAM, MRAM, memo=memo)
+        assert got == compare_iso_capacity(workload, BIG, 512.0, SRAM, MRAM)
+    # three sweeps in one process, the last a repeat of the first: each one
+    # builds the traces of its own workload, and none reuses another's
+    built = {name: [] for name in paths}
+    real = energy.simulate_iteration
+
+    def counting(wl, cfg):
+        built[name].append(tuple(wl))
+        return real(wl, cfg)
+
+    with mock.patch.object(energy, "simulate_iteration", counting):
+        for name, path in paths.items():
+            assert cli_main(["system-compare", "--workload", str(path), "--sweep",
+                             "512,512", "--out", str(tmp_path / name)]) == 0
+    for name in paths:
+        assert built[name] == [tuple(layers[name])], name
+    assert ((tmp_path / "a" / "compare.csv").read_bytes()
+            == (tmp_path / "a2" / "compare.csv").read_bytes())

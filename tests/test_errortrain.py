@@ -19,10 +19,8 @@ from spinpad.errortrain import (
     TrainingResult,
     _flip_mask,
     experiment_from_dict,
-    gradient_check,
     init_params,
     inject_tensor,
-    inject_word,
     loss_and_gradients,
     make_moons_dataset,
     run_experiment,
@@ -32,7 +30,7 @@ from spinpad.errortrain import (
 )
 from spinpad.magnetics import derive_stream
 
-from oracles import flip_mask_per_bit
+from oracles import flip_mask_per_bit, gradient_check, inject_word
 
 SIGN_MASK = 0x80000000
 EXP_MASK = 0x7F800000
