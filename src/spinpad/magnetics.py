@@ -38,8 +38,11 @@ the dynamics keep their axial symmetry and reduce exactly to
 
 which is integrated alone with the same Heun step, from
 m_z = cos(tilt).  m_z = aj / (a*H_k) is an unstable fixed point: a trial
-above it can never switch under a constant or zero drive, so it is
-retired (m_z > I / i_c0 during the pulse, m_z > 0 during relaxation).
+above it can never switch under a constant or zero drive.  Every trial
+starts from the same m_z, so each distinct amplitude is integrated once,
+as a scalar loop that stops at its crossing step or at its retirement
+step, the first step above the fixed point (m_z > I / i_c0 during the
+pulse, m_z > 0 during relaxation).
 
 Monte Carlo streams: every sweep point derives a private stream from
 (seed, point index) through SeedSequence spawn keys.  A sweep integrates
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,9 +154,10 @@ class WritePulse:
 class MagSimConfig:
     """Integrator and Monte Carlo settings.
 
-    initial_tilt_rad applies only at T = 0, where there is no thermal
-    distribution to draw the starting angle from; None picks the
-    room-temperature equilibrium scale 1/sqrt(2*thermal_stability).
+    initial_tilt_rad, in [0, pi/2), applies only at T = 0, where there is
+    no thermal distribution to draw the starting angle from; None picks
+    the room-temperature equilibrium scale 1/sqrt(2*thermal_stability).
+    Setting it for a device at T > 0 is an error.
     """
 
     time_step_ps: float = 1.0
@@ -172,12 +175,9 @@ class MagSimConfig:
             raise InvalidParameterError("relax_time_ns must be >= 0")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class SwitchingResult:
-    switched: bool
-    switch_time_ns: float | None
+        tilt = self.initial_tilt_rad
+        if tilt is not None and not 0.0 <= tilt < math.pi / 2:
+            raise InvalidParameterError(f"initial_tilt_rad must lie in [0, pi/2), got {tilt}")
 
 
 @dataclass(frozen=True)
@@ -327,9 +327,8 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     recorded every step and checked once per noise block: a non-finite or
     collapsed (< 0.5) |m| raises, and first crossings come from the record.
 
-    Returns (state, first, drop): the new state, the 1-based step of each
-    row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none) and the
-    rows to compact out, which are the switched ones.
+    Returns (state, first): the new state and the 1-based step of each
+    row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none).
     """
     mx, my, mz, point = state
     na = len(mz)
@@ -388,31 +387,31 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
         below = mz_seen[:block] < SWITCH_THRESHOLD_MZ
         hit = below.any(axis=0) & (first < 0)
         first[hit] = start + np.argmax(below[:, hit], axis=0) + 1
-    return (m[0], m[1], m[2], point), first, first >= 0
+    return (m[0], m[1], m[2], point), first
 
 
-def _axial_chunk(ahk, pre, dt, state, aj, steps):
-    """Advance m_z by `steps` Heun steps of the T = 0 axial ODE.
+def _axial_switch_step(ahk, pre, dt, mz0, aj, n_pulse, n_relax):
+    """1-based step of a T = 0 trial's first m_z < SWITCH_THRESHOLD_MZ, or -1.
 
-    Returns (state, first, drop) as _llg_chunk does.  Besides the
-    switched rows, drop holds the rows that can no longer switch: m_z
-    above the unstable fixed point aj / (a H_k), from where a constant or
-    zero drive only moves it toward +1.
+    Heun steps of the axial ODE on Python floats, n_pulse under the drive
+    aj, then n_relax under none; a float64 scalar rounds each operation as
+    the ufunc on an array does.  Each step checks m_z against [-1, 1], then
+    stops at a crossing, or with -1 once ahk * m_z exceeds the drive.
     """
-    (mz,) = state
-    trace = np.empty((steps, len(mz)))
-    for j in range(steps):
-        k1 = pre * (1.0 - mz * mz) * (ahk * mz - aj)
-        p = mz + dt * k1
-        k2 = pre * (1.0 - p * p) * (ahk * p - aj)
-        mz = mz + 0.5 * dt * (k1 + k2)
-        trace[j] = mz
-    if not np.all(np.abs(mz) <= 1.0):
-        raise NumericalFailureError("integration blow-up: m_z left [-1, 1]")
-    below = trace < SWITCH_THRESHOLD_MZ
-    crossed = below.any(axis=0)
-    first = np.where(crossed, np.argmax(below, axis=0) + 1, -1)
-    return (mz,), first, crossed | (ahk * mz > aj)
+    mz, half, step = mz0, 0.5 * dt, 0
+    for a, steps in ((aj, n_pulse), (0.0, n_relax)):
+        for step in range(step + 1, step + steps + 1):
+            k1 = pre * (1.0 - mz * mz) * (ahk * mz - a)
+            p = mz + dt * k1
+            k2 = pre * (1.0 - p * p) * (ahk * p - a)
+            mz = mz + half * (k1 + k2)
+            if not -1.0 <= mz <= 1.0:
+                raise NumericalFailureError("integration blow-up: m_z left [-1, 1]")
+            if mz < SWITCH_THRESHOLD_MZ:
+                return step
+            if ahk * mz > a:
+                return -1
+    return -1
 
 
 def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: float,
@@ -427,14 +426,14 @@ def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: 
     At T > 0 the full 3-D stochastic LLG runs from thermal initial states.
     The rows fall into len(rngs) equal contiguous blocks, one per point:
     block k draws its initial states and its noise from rngs[k] alone (see
-    _llg_chunk), so its outcomes do not depend on the other blocks.  At
-    T = 0 only the axial m_z equation is integrated (see the module
-    docstring) and rngs is not read, so it may be None.  Rows are compacted
-    out at the end of each chunk once they have switched or, at T = 0,
-    once m_z lies above the unstable fixed point (m_z > I / i_c0 during
-    the pulse, m_z > 0 during relaxation).  The step is small enough
-    (dt * g * H_k ~ 0.05 rad) that the Heun map never carries such a row
-    back across the fixed point, so retirement changes no outcome.
+    _llg_chunk), so its outcomes do not depend on the other blocks.  Rows
+    are compacted out at the end of each chunk once they have switched.  At
+    T = 0 only the axial m_z equation is integrated, one scalar loop per
+    distinct amplitude that stops at its crossing or retirement step (see
+    the module docstring), and rngs is not read, so it may be None.  The
+    step is small enough (dt * g * H_k ~ 0.05 rad) that the Heun map never
+    carries a retired trial back across the fixed point, so retirement
+    changes no outcome.
     """
     n = len(amplitudes_ua)
     alpha = device.damping
@@ -447,49 +446,40 @@ def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: 
     n_pulse = max(1, round(duration_ns * 1000.0 / cfg.time_step_ps))
     n_relax = round(cfg.relax_time_ns * 1000.0 / cfg.time_step_ps)
 
+    if cfg.initial_tilt_rad is not None and device.temperature_k != 0:
+        raise InvalidParameterError("initial_tilt_rad applies only at temperature_k == 0")
     if device.temperature_k == 0:
         tilt = cfg.initial_tilt_rad if cfg.initial_tilt_rad is not None else _default_tilt(device)
-        state = (np.full(n, math.cos(tilt)),)
-        advance = functools.partial(_axial_chunk, alpha * hk, pre, dt)
+        distinct, inverse = np.unique(aj_all, return_inverse=True)
+        steps = [_axial_switch_step(alpha * hk, pre, dt, math.cos(tilt), aj, n_pulse, n_relax)
+                 for aj in distinct.tolist()]
+        switch_step = np.array(steps, dtype=np.int64)[inverse]
     else:
         per_point = n // len(rngs)
         columns = zip(*(_initial_state(device, rng, per_point) for rng in rngs))
         state = (*(np.concatenate(c) for c in columns),
                  np.repeat(np.arange(len(rngs)), per_point))
         sigma = thermal_field_std_oe(device, cfg.time_step_ps)
-        advance = functools.partial(_llg_chunk, rngs, sigma, hk, alpha, pre, dt)
-    switch_step = np.full(n, -1, dtype=np.int64)
-    active = np.arange(n)
-
-    step = 0
-    for phase_steps, with_drive in ((n_pulse, True), (n_relax, False)):
-        target = step + phase_steps
-        while step < target and len(active):
-            chunk = min(_CHUNK_STEPS, target - step)
-            aj = aj_all[active] if with_drive else 0.0
-            state, first, drop = advance(state, aj, chunk)
-            hit = first >= 0
-            switch_step[active[hit]] = step + first[hit]
-            keep = ~drop
-            active = active[keep]
-            state = tuple(s[keep] for s in state)
-            step += chunk
-        step = target
+        switch_step = np.full(n, -1, dtype=np.int64)
+        active = np.arange(n)
+        step = 0
+        for phase_steps, with_drive in ((n_pulse, True), (n_relax, False)):
+            target = step + phase_steps
+            while step < target and len(active):
+                chunk = min(_CHUNK_STEPS, target - step)
+                aj = aj_all[active] if with_drive else 0.0
+                state, first = _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, chunk)
+                hit = first >= 0
+                switch_step[active[hit]] = step + first[hit]
+                keep = ~hit
+                active = active[keep]
+                state = tuple(s[keep] for s in state)
+                step += chunk
+            step = target
 
     switched = switch_step >= 0
     times = np.where(switched, switch_step * cfg.time_step_ps * 1e-3, np.nan)
     return switched, times
-
-
-def integrate_llg(device: MtjDevice, pulse: WritePulse, cfg: MagSimConfig,
-                  rng: np.random.Generator | None = None) -> SwitchingResult:
-    """Single-trial switching outcome for one write pulse."""
-    if rng is None:
-        rng = derive_stream(cfg.seed)
-    switched, times = _integrate_batch(
-        device, np.array([pulse.amplitude_ua]), pulse.duration_ns, cfg, [rng])
-    return SwitchingResult(bool(switched[0]),
-                           float(times[0]) if switched[0] else None)
 
 
 def estimate_psw(device: MtjDevice, pulse: WritePulse, cfg: MagSimConfig,
@@ -619,6 +609,10 @@ def find_switching_threshold(device: MtjDevice, duration_ns: float, cfg: MagSimC
         raise InvalidParameterError("threshold search requires temperature_k == 0")
     if not 0 <= lo_ua < hi_ua:
         raise InvalidParameterError("need 0 <= lo_ua < hi_ua")
+    check_int("probes", probes)
+    check_int("rounds", rounds)
+    if probes < 3 or rounds < 1:  # two probes are the bracket and narrow nothing
+        raise InvalidParameterError(f"need probes >= 3 and rounds >= 1, got {probes}, {rounds}")
     for _ in range(rounds):
         grid = np.linspace(lo_ua, hi_ua, probes)
         switched, _ = _integrate_batch(device, grid, duration_ns, cfg, None)

@@ -6,11 +6,13 @@ bug in the package and a bug in the oracle are unlikely to coincide.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from spinpad.errors import InvalidParameterError
 from spinpad.errortrain import init_params, inject_tensor, loss_and_gradients
+from spinpad.magnetics import _default_tilt, _integrate_batch, derive_stream
 
 KB_ERG = 1.380649e-16
 GYRO = 1.76e7
@@ -118,6 +120,74 @@ def heun_axial(delta, ms_emu_cc, volume_cm3, alpha, current_ua, eta_kbt_per_ua,
     return False, None
 
 
+def axial_chunked_reference(device, amplitudes_ua, duration_ns, cfg):
+    """T = 0 batch on float64 arrays, retired and checked per 512-step chunk.
+
+    The array form of spinpad.magnetics._integrate_batch at T = 0: every
+    active row takes the same Heun step as one numpy expression, m_z is
+    checked against [-1, 1] at the end of each chunk, and a row leaves the
+    batch at the end of the chunk in which it crossed m_z < -0.5 or ended
+    above the unstable fixed point of the chunk's drive.  It rounds each
+    step as the scalar loop does, so (switched, times) must match bit for
+    bit.
+    """
+    alpha = device.damping
+    pre = device.gyromagnetic_ratio_oe / (1.0 + alpha * alpha)
+    hk = device.anisotropy_field_oe
+    ahk = alpha * hk
+    aj_all = alpha * hk * np.asarray(amplitudes_ua, dtype=float) / device.critical_current_ua
+    dt = cfg.time_step_ps * 1e-12
+    n_pulse = max(1, round(duration_ns * 1000.0 / cfg.time_step_ps))
+    n_relax = round(cfg.relax_time_ns * 1000.0 / cfg.time_step_ps)
+    tilt = cfg.initial_tilt_rad if cfg.initial_tilt_rad is not None else _default_tilt(device)
+
+    n = len(aj_all)
+    mz = np.full(n, math.cos(tilt))
+    switch_step = np.full(n, -1, dtype=np.int64)
+    active = np.arange(n)
+    step = 0
+    for phase_steps, with_drive in ((n_pulse, True), (n_relax, False)):
+        target = step + phase_steps
+        while step < target and len(active):
+            chunk = min(512, target - step)
+            aj = aj_all[active] if with_drive else 0.0
+            trace = np.empty((chunk, len(mz)))
+            for j in range(chunk):
+                k1 = pre * (1.0 - mz * mz) * (ahk * mz - aj)
+                p = mz + dt * k1
+                k2 = pre * (1.0 - p * p) * (ahk * p - aj)
+                mz = mz + 0.5 * dt * (k1 + k2)
+                trace[j] = mz
+            if not np.all(np.abs(mz) <= 1.0):
+                raise ArithmeticError("integration blow-up: m_z left [-1, 1]")
+            below = trace < -0.5
+            crossed = below.any(axis=0)
+            switch_step[active[crossed]] = step + np.argmax(below[:, crossed], axis=0) + 1
+            keep = ~(crossed | (ahk * mz > aj))
+            active, mz = active[keep], mz[keep]
+            step += chunk
+        step = target
+    switched = switch_step >= 0
+    times = np.where(switched, switch_step * cfg.time_step_ps * 1e-3, np.nan)
+    return switched, times
+
+
+@dataclass(frozen=True)
+class SwitchingResult:
+    switched: bool
+    switch_time_ns: float | None
+
+
+def integrate_llg(device, pulse, cfg, rng=None):
+    """Single-trial switching outcome for one write pulse."""
+    if rng is None:
+        rng = derive_stream(cfg.seed)
+    switched, times = _integrate_batch(
+        device, np.array([pulse.amplitude_ua]), pulse.duration_ns, cfg, [rng])
+    return SwitchingResult(bool(switched[0]),
+                           float(times[0]) if switched[0] else None)
+
+
 def brute_force_gemm_counts(m, k, n, rows, cols):
     """Enumerate output-stationary tiles with plain loops and count accesses.
 
@@ -223,7 +293,7 @@ def heun_llg_reference(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
             if newly.any():
                 crossed |= newly
                 first[newly] = start + j + 1
-    return (mx, my, mz, point), first, crossed
+    return (mx, my, mz, point), first
 
 
 def phase_totals(trace):

@@ -526,6 +526,14 @@ def test_non_integer_count_exits_one(tmp_path, capsys, command, section, key):
     assert not out.exists()
 
 
+def test_initial_tilt_above_zero_kelvin_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"simulation": {"trials": 20, "seed": 3, "initial_tilt_rad": 1.4}}))
+    assert run_cli("wer-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert "initial_tilt_rad" in capsys.readouterr().err
+
+
 # sha256 of (curves.csv, summary.json) of each bundled error-train config:
 # a change to the injection path that alters one bit of a curve fails here
 PINNED_ERROR_TRAIN = {

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import axial_switch_time_ns, heun_axial, heun_llg_reference
+from oracles import (
+    axial_chunked_reference,
+    axial_switch_time_ns,
+    heun_axial,
+    heun_llg_reference,
+    integrate_llg,
+)
 
 from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import (
@@ -35,7 +41,6 @@ from spinpad.magnetics import (
     estimate_psw,
     find_switching_threshold,
     fit_ln_wer,
-    integrate_llg,
     relative_write_energy,
     required_amplitude,
     run_wer_sweep,
@@ -104,6 +109,16 @@ def test_pulse_and_config_validation():
         MagSimConfig(trials=0)
     with pytest.raises(InvalidParameterError):
         MagSimConfig(relax_time_ns=-1.0)
+    for tilt in (math.nan, math.inf, -0.1, math.pi / 2, 2.0):
+        with pytest.raises(InvalidParameterError, match="initial_tilt_rad"):
+            MagSimConfig(initial_tilt_rad=tilt)
+    assert MagSimConfig(initial_tilt_rad=0.0).initial_tilt_rad == 0.0
+
+
+def test_initial_tilt_rejected_above_zero_kelvin():
+    cfg = MagSimConfig(trials=4, initial_tilt_rad=0.5)
+    with pytest.raises(InvalidParameterError, match="initial_tilt_rad"):
+        _integrate_batch(default_device(), np.full(4, 60.0), 1.0, cfg, [derive_stream(1)])
 
 
 def test_thermal_field_std_frozen_value():
@@ -167,6 +182,67 @@ def test_zero_temp_batch_matches_non_retiring_heun():
             assert abs(t - t_ref) <= STEP_NS
         else:
             assert np.isnan(t)
+
+
+# (duration_ns, time_step_ps, relax_time_ns, initial_tilt_rad): every value of
+# each axis, without the full product, whose long cases the array reference
+# takes seconds each to integrate
+_ORACLE_CASES = [
+    (1.0, 0.5, 5.0, None),
+    (5.0, 0.5, 0.0, 1.2),
+    (5.0, 1.0, 0.0, None),
+    (20.0, 1.0, 5.0, 0.02),
+    (20.0, 10.0, 0.0, 1.2),
+    (1.0, 10.0, 5.0, 1.2),
+    (200.0, 10.0, 0.0, 0.02),
+    (200.0, 1.0, 5.0, None),
+]
+
+
+@pytest.mark.parametrize("duration_ns,time_step_ps,relax_time_ns,tilt", _ORACLE_CASES)
+def test_zero_temp_batch_matches_chunked_reference_bitwise(duration_ns, time_step_ps,
+                                                           relax_time_ns, tilt):
+    """One scalar loop per distinct amplitude gives the chunked array path's
+    (switched, times) bit for bit."""
+    dev = default_device(temperature_k=0.0)
+    cfg = MagSimConfig(time_step_ps=time_step_ps, relax_time_ns=relax_time_ns,
+                       initial_tilt_rad=tilt)
+    floor = IC0_UA * math.cos(TILT_RAD if tilt is None else tilt)
+    grid = floor * np.r_[0.0, 0.5, 0.999, 1.0 + np.geomspace(1e-9, 30.0, 24)]
+    amps = np.r_[grid, grid[[1, 8, 8, 20, 20]]]
+    switched, times = _integrate_batch(dev, amps, duration_ns, cfg, None)
+    ref_switched, ref_times = axial_chunked_reference(dev, amps, duration_ns, cfg)
+    assert switched.tobytes() == ref_switched.tobytes()
+    assert times.tobytes() == ref_times.tobytes()
+    # all three regimes: below the floor, too short to switch, switching
+    assert any(not s for a, s in zip(amps, switched) if a > floor)
+    assert switched.any()
+
+
+@pytest.mark.parametrize("amp,time_step_ps,tilt", [
+    (1e7, 10.0, None),  # the first step leaves [-1, 1] above +1
+    (5e4, 10.0, None),  # the second step crosses and leaves [-1, 1] below -1
+    (4.5e5, 1.0, 0.02),  # the third step does
+])
+def test_zero_temp_blow_up_raises(amp, time_step_ps, tilt):
+    dev = default_device(temperature_k=0.0)
+    cfg = MagSimConfig(time_step_ps=time_step_ps, initial_tilt_rad=tilt)
+    with pytest.raises(NumericalFailureError, match="m_z left"):
+        _integrate_batch(dev, np.array([amp]), 20.0, cfg, None)
+    with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
+        axial_chunked_reference(dev, np.array([amp]), 20.0, cfg)
+
+
+def test_zero_temp_repeated_amplitudes_share_one_result():
+    dev = default_device(temperature_k=0.0)
+    cfg = MagSimConfig(time_step_ps=1.0)
+    grid = np.linspace(20.0, 100.0, 17)
+    switched, times = _integrate_batch(dev, np.repeat(grid, 7), 20.0, cfg, None)
+    one_switched, one_times = _integrate_batch(dev, grid, 20.0, cfg, None)
+    assert switched.tobytes() == np.repeat(one_switched, 7).tobytes()
+    assert times.tobytes() == np.repeat(one_times, 7).tobytes()
+    cfg = MagSimConfig(trials=20000, seed=4)
+    assert [estimate_psw(dev, WritePulse(a, 20.0), cfg) for a in (40.0, 90.0)] == [0.0, 1.0]
 
 
 def test_zero_temp_is_seed_independent():
@@ -382,12 +458,11 @@ _CHUNK_AJ = 0.006 * HK_OE * np.repeat([60.0, 100.0, 140.0], 4) / IC0_UA
     (_CHUNK_AJ, np.linspace(-0.2, -0.45, 12), 150),  # crossings after block 1
 ], ids=["drive", "relax", "crossing"])
 def test_llg_chunk_matches_per_component_reference_bitwise(aj, mz, steps):
-    (mx, my, mz_end, _), first, drop = _llg_chunk(*_chunk_args(aj, mz, steps))
-    (rx, ry, rz, _), rfirst, rdrop = heun_llg_reference(*_chunk_args(aj, mz, steps))
+    (mx, my, mz_end, _), first = _llg_chunk(*_chunk_args(aj, mz, steps))
+    (rx, ry, rz, _), rfirst = heun_llg_reference(*_chunk_args(aj, mz, steps))
     for got, ref in ((mx, rx), (my, ry), (mz_end, rz)):
         assert got.tobytes() == ref.tobytes()
     assert first.tolist() == rfirst.tolist()
-    assert drop.tolist() == rdrop.tolist()
     if mz is not None:
         assert first.max() > 64 and steps % 64
 
@@ -407,6 +482,21 @@ def test_find_switching_threshold_requires_zero_temp():
     dev = default_device()
     with pytest.raises(InvalidParameterError):
         find_switching_threshold(dev, 100.0, MagSimConfig(seed=1), 20.0, 100.0)
+
+
+@pytest.mark.parametrize("kw,error,match", [
+    ({"rounds": 0}, InvalidParameterError, "rounds >= 1"),
+    ({"rounds": -1}, InvalidParameterError, "rounds >= 1"),
+    ({"probes": 0}, InvalidParameterError, "probes >= 3"),
+    ({"probes": 1}, InvalidParameterError, "probes >= 3"),
+    ({"probes": 2}, InvalidParameterError, "probes >= 3"),
+    ({"probes": 16.0}, ConfigError, "probes must be an integer"),
+    ({"rounds": 2.0}, ConfigError, "rounds must be an integer"),
+])
+def test_find_switching_threshold_rejects_searches_that_cannot_run(kw, error, match):
+    dev = default_device(temperature_k=0.0)
+    with pytest.raises(error, match=match):
+        find_switching_threshold(dev, 20.0, MagSimConfig(seed=1), 20.0, 100.0, **kw)
 
 
 def test_load_device_config(tmp_path):
