@@ -321,10 +321,12 @@ def _loglog_interp(x: float, xs: list[float], ys: list[float]) -> float:
     if x >= xs[-1]:
         return ys[-1]
     i = bisect_right(xs, x) - 1
-    if xs[i] == x:
-        return ys[i]
+    y0, y1 = ys[i], ys[i + 1]
+    # a chain of monotone roundings: monotone in x even at the ulp scale,
+    # and never past y0; rounding can overshoot y1, so that end is clamped
     t = math.log(x / xs[i]) / math.log(xs[i + 1] / xs[i])
-    return math.exp((1.0 - t) * math.log(ys[i]) + t * math.log(ys[i + 1]))
+    y = y0 * math.exp(t * math.log(y1 / y0))
+    return min(y, y1) if y1 >= y0 else max(y, y1)
 
 
 def metrics_at_capacity(

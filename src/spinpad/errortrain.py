@@ -13,23 +13,35 @@ instead of crashing.
 Randomness is derived per write event from a counter-style key
 (seed, kind, epoch, batch, layer), making the training curve a pure function
 of (network spec, dataset, binding, seed) regardless of execution order.
-Each write event draws one uniform per element and bit at risk, bit by bit
-in the order sign, exponent bits 23..30, mantissa bits 0..span-1. The
-uniforms of k consecutive bits come from one (k, *shape) draw, which
-consumes the stream exactly as k draws of the tensor's shape do, with
-k = max(1, _DRAW_CAP // tensor size): a training tensor takes one draw per
-write event, and a tensor of _DRAW_CAP elements or more one draw per bit.
+The keys of one epoch's write events are derived as one table
+(magnetics.derive_streams). Each write event draws one uniform per element
+and bit at risk, bit by bit in the order sign, exponent bits 23..30,
+mantissa bits 0..span-1. The uniforms of k consecutive bits come from one
+draw of k * size words, which consumes the stream exactly as k draws of the
+tensor's shape do, with k = max(1, _DRAW_CAP // tensor size): a training
+tensor takes one draw per write event, and a tensor of _DRAW_CAP elements
+or more one draw per bit.
+
+A bit flips when its uniform u is below the segment's rate p. Philox's
+random() makes u = (w >> 11) * 2**-53 from one raw 64-bit word w, and
+random_raw yields the same words, so the test is made on the words
+themselves: u < p exactly when (w >> 11) < ceil(p * 2**53), that is when
+w <= ceil(p * 2**53) * 2**11 - 1, for every p in (0, 1]; p = 1 gives
+2**64 - 1 and always flips. Only the hits, about p of the draws, are
+scattered into the XOR mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, check_int, config_from
-from .magnetics import derive_stream
+from .magnetics import derive_stream, derive_streams
 
 SIGN_BIT = 31
 EXPONENT_BITS = range(23, 31)
@@ -43,6 +55,7 @@ _ACTIVATIONS = ("tanh", "relu")
 
 # Stream kinds for counter-based randomness derivation.
 _K_INIT, _K_SHUFFLE, _K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS, _K_DATA = range(7)
+_WRITE_KINDS = (_K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS)
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,8 @@ class SegmentErrorConfig:
     def __post_init__(self) -> None:
         for name in ("sign_wer", "exponent_wer", "mantissa_wer"):
             p = getattr(self, name)
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise InvalidParameterError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {p}")
         check_int("affected_mantissa_bits", self.affected_mantissa_bits)
@@ -102,30 +117,40 @@ class InjectionStats:
     sanitized: int
 
 
-def _flip_mask(shape: tuple[int, ...], cfg: SegmentErrorConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Per-element uint32 XOR mask and flip count, drawn in blocks of bits."""
+@functools.lru_cache(maxsize=64)
+def _bit_plan(cfg: SegmentErrorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bit values and raw-word hit limits of the bits at risk, in draw order."""
     bits: list[int] = []
-    probs: list[float] = []
+    limits: list[int] = []
     for p, segment in ((cfg.sign_wer, (SIGN_BIT,)),
                        (cfg.exponent_wer, EXPONENT_BITS),
                        (cfg.mantissa_wer, range(cfg.affected_mantissa_bits))):
-        if p > 0.0:
-            bits.extend(segment)
-            probs.extend([p] * len(segment))
-    column = (-1,) + (1,) * len(shape)
-    bit_col = np.array(bits, dtype=np.uint32).reshape(column)
-    prob_col = np.array(probs, dtype=np.float64).reshape(column)
-    block = max(1, _DRAW_CAP // max(1, math.prod(shape)))
-    mask = np.zeros(shape, dtype=np.uint32)
+        if p > 0.0:  # random() < p  <=>  word < ceil(p * 2**53) * 2**11
+            bits.extend(1 << bit for bit in segment)
+            limits.extend([(math.ceil(p * 2.0 ** 53) << 11) - 1] * len(segment))
+    plan = np.array(bits, dtype=np.uint32), np.array(limits, dtype=np.uint64)[:, None]
+    for column in plan:  # the cache hands the same arrays to every caller
+        column.flags.writeable = False
+    return plan
+
+
+def _flip_mask(shape: tuple[int, ...], cfg: SegmentErrorConfig,
+               rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Per-element uint32 XOR mask and flip count, drawn in blocks of bits."""
+    bits, limits = _bit_plan(cfg)
+    n = math.prod(shape)
+    block = max(1, _DRAW_CAP // max(1, n))
+    mask = np.zeros(n, dtype=np.uint32)
     flips = 0
     for lo in range(0, len(bits), block):
-        rows = slice(lo, lo + block)
-        hit = rng.random((len(prob_col[rows]), *shape)) < prob_col[rows]
-        flips += int(np.count_nonzero(hit))
-        mask |= np.bitwise_or.reduce(
-            np.left_shift(hit, bit_col[rows], dtype=np.uint32), axis=0)
-    return mask, flips
+        rows = limits[lo:lo + block]
+        words = rng.bit_generator.random_raw(len(rows) * n).reshape(len(rows), n)
+        hits = np.flatnonzero(words <= rows)  # 2-D nonzero() is several times slower
+        if hits.size:
+            row, col = np.divmod(hits, n)
+            np.bitwise_or.at(mask, col, bits[lo + row])
+            flips += hits.size
+    return mask.reshape(shape), flips
 
 
 def inject_tensor(values: np.ndarray, cfg: SegmentErrorConfig,
@@ -354,6 +379,11 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
 
     for epoch in range(spec.epochs):
         order = derive_stream(spec.seed, _K_SHUFFLE, epoch).permutation(n)
+        if not binding.is_zero:  # the write events' streams of this epoch
+            stream = derive_streams(spec.seed, [
+                (kind, epoch, batch, li) for kind in _WRITE_KINDS
+                for batch in range(-(-n // spec.batch_size))
+                for li in range(len(params))])
         xs, ys = x_train[order], y_train[order]
         batch_losses: list[float] = []
         epoch_sanitized = 0
@@ -372,7 +402,7 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                 if not binding.activations.is_zero:
                     a, st = inject_tensor(
                         a, binding.activations,
-                        derive_stream(spec.seed, _K_ACT, epoch, batch, li))
+                        stream(_K_ACT, epoch, batch, li))
                     epoch_sanitized += st.sanitized
                 acts.append(a)
 
@@ -390,7 +420,7 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
             if not binding.errors.is_zero:
                 e, st = inject_tensor(
                     e, binding.errors,
-                    derive_stream(spec.seed, _K_ERR, epoch, batch, last))
+                    stream(_K_ERR, epoch, batch, last))
                 epoch_sanitized += st.sanitized
             grads = [None] * len(params)
             for li in range(last, -1, -1):
@@ -401,7 +431,7 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                     if not binding.errors.is_zero:
                         e, st = inject_tensor(
                             e, binding.errors,
-                            derive_stream(spec.seed, _K_ERR, epoch, batch, li - 1))
+                            stream(_K_ERR, epoch, batch, li - 1))
                         epoch_sanitized += st.sanitized
 
             # update; weights are written back, gradients never are
@@ -411,11 +441,11 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                 if not binding.weights.is_zero:
                     w, st = inject_tensor(
                         w, binding.weights,
-                        derive_stream(spec.seed, _K_WEIGHT, epoch, batch, li))
+                        stream(_K_WEIGHT, epoch, batch, li))
                     epoch_sanitized += st.sanitized
                     b, st = inject_tensor(
                         b, binding.weights,
-                        derive_stream(spec.seed, _K_BIAS, epoch, batch, li))
+                        stream(_K_BIAS, epoch, batch, li))
                     epoch_sanitized += st.sanitized
                 params[li] = (w, b)
 

@@ -52,6 +52,15 @@ for its still-active rows are drawn from its own stream alone, in the
 order and shapes a lone integration of that point would draw them.
 Estimates are therefore bit-identical for a fixed seed however the
 points are grouped into batches or spread over workers.
+
+derive_stream builds one stream from one key. derive_streams builds the
+same streams for a table of keys, such as every write event of a training
+epoch: Philox takes its key from SeedSequence.generate_state(2, uint64),
+whose hashmix and mix steps run on uint32 words with hash constants that
+depend only on the number of words. The steps are therefore run once on
+columns of the table, each key then gets a SeedSequence stand-in that
+carries its spawn_key and returns the precomputed words, and each stream's
+output is bit-identical to derive_stream's.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,6 +295,85 @@ def sample_thermal_field(device: MtjDevice, time_step_ps: float,
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-style stream splitting: a private generator per index tuple."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# SeedSequence's hash constants and pool size (numpy's bit_generator.pyx)
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_U32 = 0xFFFFFFFF
+
+
+class _SpawnedKey:
+    """A spawn key and the Philox key words its SeedSequence generates.
+
+    derive_streams registers it as numpy's ISeedSequence: subclassing at
+    import would load numpy.random into every command that never draws.
+    """
+
+    def __init__(self, spawn_key: tuple[int, ...], words: np.ndarray):
+        self.spawn_key = spawn_key
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (2, np.dtype(np.uint64)):
+            raise ValueError("only Philox's two-word key is precomputed")
+        return self._words
+
+
+def derive_streams(seed: int, keys: list[tuple[int, ...]]):
+    """derive_stream(seed, *key) for a table of equal-length keys, lazily.
+
+    Returns stream(*key), which builds the generator of any key of the
+    table. SeedSequence's hash steps run once for the whole table (see the
+    module docstring): on Python ints while they mix only the seed, then
+    on one uint32 column per key word, so each generator costs only its
+    Philox. Every key word must be < 2**32.
+    """
+    np.random.bit_generator.ISeedSequence.register(_SpawnedKey)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidParameterError("seed must be non-negative")
+    table = np.array(keys, dtype=np.uint64)
+    if (table >> np.uint64(32)).any():
+        raise InvalidParameterError("stream key words must be < 2**32")
+    run = [(seed >> s) & _U32 for s in range(0, max(1, seed.bit_length()), 32)]
+    run += [0] * (_SS_POOL - len(run))  # a spawn key pads the seed to the pool
+    words = run + list(table.astype(np.uint32).T)
+    h = _SS_INIT_A
+
+    # Each step masks to 32 bits, so it gives the same word on a Python int
+    # as on a uint32 column, and an int operand never overflows a column.
+    def hashed(v, mult):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _U32
+        v = v * h & _U32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = ((_SS_MIX_L * x & _U32) - (_SS_MIX_R * y & _U32)) & _U32
+        return r ^ (r >> 16)
+
+    pool = [hashed(w, _SS_MULT_A) for w in words[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashed(pool[src], _SS_MULT_A))
+    for w in words[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashed(w, _SS_MULT_A))
+    h = _SS_INIT_B
+    state = np.empty((len(keys), 4), dtype=np.uint32)
+    for i in range(4):  # generate_state(2, np.uint64): 4 words, little-endian pairs
+        state[:, i] = hashed(pool[i % _SS_POOL], _SS_MULT_B)
+    index = dict(zip(keys, state.astype("<u4").view("<u8").astype(np.uint64)))
+
+    def stream(*key: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(_SpawnedKey(key, index[key])))
+
+    return stream
 
 
 def _default_tilt(device: MtjDevice) -> float:

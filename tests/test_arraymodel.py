@@ -346,3 +346,26 @@ def test_area_and_leakage_monotone_in_capacity(c1, c2):
     m_hi = metrics_at_capacity(TABLE, MRAM, hi)
     assert m_lo.area_mm2 <= m_hi.area_mm2
     assert m_lo.leakage_mw <= m_hi.leakage_mw
+
+
+def _adjacent_floats(x, k):
+    """x with the k floats below and the k floats above it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_area_and_leakage_monotone_at_ulp_scale_around_anchors():
+    # the pair that once failed the property test above: 25.0 at 32.0 KB
+    # became 24.999999999999996 just above it
+    assert (metrics_at_capacity(TABLE, MRAM, 32.0).leakage_mw
+            <= metrics_at_capacity(TABLE, MRAM, 32.00000000000001).leakage_mw)
+    for anchor in TABLE.anchors_for(TechnologyKind.MRAM_BASE):
+        caps = _adjacent_floats(anchor.capacity_kb, 64)
+        metrics = [metrics_at_capacity(TABLE, MRAM, c) for c in caps]
+        for name in ("area_mm2", "leakage_mw"):
+            values = [getattr(m, name) for m in metrics]
+            assert values == sorted(values), (anchor.capacity_kb, name)
+            assert values[64] == getattr(anchor, name)

@@ -54,7 +54,8 @@ def bits(values):
 def test_segment_config_validation():
     for kwargs in ({"sign_wer": -0.1}, {"exponent_wer": 1.5},
                    {"mantissa_wer": 2.0}, {"affected_mantissa_bits": 24},
-                   {"affected_mantissa_bits": -1}):
+                   {"affected_mantissa_bits": -1}, {"mantissa_wer": True},
+                   {"sign_wer": "0.1"}):
         with pytest.raises(InvalidParameterError):
             SegmentErrorConfig(**kwargs)
     for kwargs in ({"affected_mantissa_bits": 5.0},
@@ -155,13 +156,26 @@ def test_injection_deterministic_per_stream():
     assert not np.array_equal(bits(a), bits(c))
 
 
+def _every_segment(p):
+    return {"sign_wer": p, "exponent_wer": p, "mantissa_wer": p}
+
+
 _SEGMENTS = {
     "sign": {"sign_wer": 0.2},
     "exponent": {"exponent_wer": 0.2},
     "mantissa": {"mantissa_wer": 0.2},
     "all": {"sign_wer": 0.05, "exponent_wer": 0.1, "mantissa_wer": 0.3},
-    "all_p1": {"sign_wer": 1.0, "exponent_wer": 1.0, "mantissa_wer": 1.0},
+    "all_p1": _every_segment(1.0),
     "exponent_mantissa": {"exponent_wer": 0.5, "mantissa_wer": 1.0},
+    # edges of the raw-word threshold ceil(p * 2**53): the least positive
+    # uniform, a p between two uniforms, the least subnormal, one half, the
+    # greatest uniform below 1, and the bundled rate
+    "p_2m53": _every_segment(2.0 ** -53),
+    "p_3x2m54": _every_segment(3 * 2.0 ** -54),
+    "p_5e-324": _every_segment(5e-324),
+    "p_half": _every_segment(0.5),
+    "p_1m2m53": _every_segment(1 - 2.0 ** -53),
+    "p_bundled": _every_segment(1e-3),
 }
 
 
@@ -494,6 +508,8 @@ def test_load_experiment_roundtrip(tmp_path):
     '{"binding": {"bogus": {}}}',
     '{"binding": {"weights": {"mantissa_wer": 2.0}}}',
     '{"binding": {"weights": {"bogus_wer": 0.1}}}',
+    '{"binding": {"weights": {"mantissa_wer": true}}}',
+    '{"binding": {"errors": {"sign_wer": "0.1"}}}',
     '{"layer_sizes": [2, 2], "epochs": 0}',
     '{"seeds": []}',
 ])

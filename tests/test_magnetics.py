@@ -38,6 +38,7 @@ from spinpad.magnetics import (
     WritePulse,
     amplitude_ladder,
     derive_stream,
+    derive_streams,
     estimate_psw,
     find_switching_threshold,
     fit_ln_wer,
@@ -428,6 +429,26 @@ def test_batch_switch_steps_pinned():
                                 4.0, _LAYOUT_CFG, rngs)
     steps = np.where(np.isnan(times), -1, np.round(times * 1e3)).astype(int)
     assert steps.reshape(3, trials)[:, :8].tolist() == pinned
+
+
+# 2**130 has five 32-bit words, more than SeedSequence's 4-word pool, so
+# the spawn key is not padded onto a full pool but mixed in after a word
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130])
+def test_derive_streams_table_matches_seed_sequence(seed):
+    keys = [(kind, epoch, batch, layer) for kind in (2, 5) for epoch in (0, 29)
+            for batch in (0, 12) for layer in (0, 2)]
+    keys += [(6, 2**32 - 1, 0, 1), (0, 0, 0, 0)]
+    stream = derive_streams(seed, keys)
+    for key in keys:
+        rng = stream(*key)
+        assert rng.bit_generator.seed_seq.spawn_key == key
+        want = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(2, np.uint64), want)
+        assert np.array_equal(rng.random(5), derive_stream(seed, *key).random(5))
+    with pytest.raises(InvalidParameterError):
+        derive_streams(seed, [(1, 2**32)])  # SeedSequence would split it in two words
+    with pytest.raises(InvalidParameterError):
+        derive_streams(-1 - seed, keys)
 
 
 def _chunk_args(aj, mz=None, steps=300):
