@@ -30,6 +30,10 @@ corrector) with renormalization of m after every step.  m, the predictor
 and H are (5, rows) buffers with rows x y z x y: [1:4] and [2:5] are the
 cyclic shifts, so m x H is two multiplies and a subtract and each term
 above is evaluated over (3, rows), every element in its component order.
+Each call is of numpy's cheap kind, with unchanged bits: constants are 0-d
+arrays, not floats, and the drive is tiled to (3, rows); -m x H - a D is
+D (-a) - m x H, as negation is exact; m.H and |m|^2 are (t_x + t_y) + t_z,
+the order add.reduce takes.
 
 At T = 0 the field is purely uniaxial and the polarizer collinear, so
 the dynamics keep their axial symmetry and reduce exactly to
@@ -412,9 +416,9 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     3) draw would, while the noise held at once stays one block.
 
     m, the predictor and H are stacked (see the module docstring); the
-    torque terms are skipped under the 0.0 of relaxation.  |m| and m_z are
-    recorded every step and checked once per noise block: a non-finite or
-    collapsed (< 0.5) |m| raises, and first crossings come from the record.
+    torque terms are skipped under the 0.0 of relaxation.  A step keeps |m|,
+    and m before its division in its spent noise rows; per block a
+    non-finite or collapsed (< 0.5) |m| raises, and crossings come from m_z.
 
     Returns (state, first): the new state and the 1-based step of each
     row's first crossing of SWITCH_THRESHOLD_MZ (-1 for none).
@@ -423,57 +427,59 @@ def _llg_chunk(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     na = len(mz)
     rows = np.bincount(point, minlength=len(rngs))
     drive = np.ndim(aj) > 0 or aj != 0.0
+    mul, add, sub, copyto = np.multiply, np.add, np.subtract, np.copyto
+    hk, one, nalpha, pre, dt, half = map(np.array, (hk, 1.0, -alpha, pre, dt, 0.5 * dt))
     if drive:
-        signed_aaj = np.array([[1.0], [-1.0]]) * (alpha * aj)  # (a aj, -a aj) per row
+        aj, signed_aaj = np.tile(aj, (3, 1)), np.array([[1.0], [-1.0]]) * (alpha * aj)
     m = np.array((mx, my, mz, mx, my))
     p, h = np.empty((2, 5, na))
-    k1, k2, cross, damp, tmp = np.empty((5, 3, na))
-    mdh, field = np.empty((2, na))
-    h3, h14, h25, hz, tmp_z, pair = h[:3], h[1:4], h[2:5], h[2], tmp[2], damp[:2]
+    (k1, k2, damp, tmp), (mdh, field) = np.empty((4, 3, na)), np.empty((2, na))
+    h3, h14, h25, hz, pair = h[:3], h[1:4], h[2:5], h[2], damp[:2]
+    t0, t1, t2 = tmp
 
     def rhs(v3, v14, v25, vz, vyx, out, out01):
         """Landau-Lifshitz right-hand side at v into out; hz holds H_z in full."""
-        np.add.reduce(np.multiply(v3, h3, out=tmp), axis=0, out=mdh)  # m.H
-        np.subtract(np.multiply(v3, mdh, out=damp), h3, out=damp)  # m (m.H) - H
-        np.subtract(np.multiply(v14, h25, out=cross), np.multiply(v25, h14, out=tmp), out=cross)
-        np.subtract(np.negative(cross, out=out), np.multiply(damp, alpha, out=damp), out=out)
+        mul(v3, h3, tmp)
+        add(add(t0, t1, mdh), t2, mdh)  # m.H
+        sub(mul(v3, mdh, damp), h3, damp)  # m (m.H) - H
+        sub(mul(v14, h25, out), mul(v25, h14, tmp), out)  # m x H
+        sub(mul(damp, nalpha, damp), out, out)  # -a (m (m.H) - H) - m x H
         if drive:
-            np.multiply(v3, vz, out=tmp)  # m m_z - z
-            np.subtract(tmp_z, 1.0, out=tmp_z)
-            np.add(out, np.multiply(tmp, aj, out=tmp), out=out)
-            np.add(out01, np.multiply(vyx, signed_aaj, out=pair), out=out01)  # (m_y, -m_x)
-        np.multiply(out, pre, out=out)
+            mul(v3, vz, tmp)  # m m_z - z
+            sub(t2, one, t2)
+            add(out, mul(tmp, aj, tmp), out)
+            add(out01, mul(vyx, signed_aaj, pair), out01)  # (m_y, -m_x)
+        mul(out, pre, out)
 
     m3, mz_, m01, m34 = m[:3], m[2], m[:2], m[3:]
     p3, pz, p01, p34 = p[:3], p[2], p[:2], p[3:]
     at_m = (m3, m[1:4], m[2:5], mz_, m[4:2:-1], k1, k1[:2])
     at_p = (p3, p[1:4], p[2:5], pz, p[4:2:-1], k2, k2[:2])
-    noise = np.empty((_NOISE_BLOCK_STEPS, 5, na))
-    norm, mz_seen = np.empty((2, _NOISE_BLOCK_STEPS, na))
+    noise, norm = np.empty((_NOISE_BLOCK_STEPS, 5, na)), np.empty((_NOISE_BLOCK_STEPS, na))
     first = np.full(na, -1, dtype=np.int64)
     for start in range(0, steps, _NOISE_BLOCK_STEPS):
         block = min(_NOISE_BLOCK_STEPS, steps - start)
         for rng, k, hi in zip(rngs, rows, np.cumsum(rows)):
             if k:
-                np.multiply(rng.standard_normal((block, k, 3)).transpose(0, 2, 1), sigma,
-                            out=noise[:block, :3, hi - k:hi])
+                mul(rng.standard_normal((block, k, 3)).transpose(0, 2, 1), sigma,
+                    out=noise[:block, :3, hi - k:hi])
         noise[:block, 3:] = noise[:block, :2]
-        for j in range(block):
-            np.copyto(h, noise[j])
-            np.add(hz, np.multiply(mz_, hk, out=field), out=hz)
+        for nj, nzj, mj, nrm in zip(noise, noise[:, 2], noise[:block, :3], norm):
+            copyto(h, nj)
+            add(hz, mul(mz_, hk, field), hz)
             rhs(*at_m)
-            np.add(m3, np.multiply(k1, dt, out=p3), out=p3)
-            np.copyto(p34, p01)
-            np.add(noise[j, 2], np.multiply(pz, hk, out=field), out=hz)
+            add(m3, mul(k1, dt, p3), p3)
+            copyto(p34, p01)
+            add(nzj, mul(pz, hk, field), hz)
             rhs(*at_p)
-            np.add(m3, np.multiply(np.add(k1, k2, out=k1), 0.5 * dt, out=k1), out=m3)
-            np.copyto(m34, m01)
-            np.add.reduce(np.multiply(m3, m3, out=tmp), axis=0, out=norm[j])
-            np.divide(m, np.sqrt(norm[j], out=norm[j]), out=m)
-            np.copyto(mz_seen[j], mz_)
+            add(m3, mul(add(k1, k2, k1), half, k1), mj)
+            mul(mj, mj, tmp)
+            add(add(t0, t1, nrm), t2, nrm)  # |m|^2
+            np.divide(mj, np.sqrt(nrm, nrm), m3)
+            copyto(m34, m01)
         if not np.all(np.isfinite(norm[:block])) or np.any(norm[:block] < 0.5):
             raise NumericalFailureError("integration blow-up: |m| left the unit sphere")
-        below = mz_seen[:block] < SWITCH_THRESHOLD_MZ
+        below = noise[:block, 2] / norm[:block] < SWITCH_THRESHOLD_MZ
         hit = below.any(axis=0) & (first < 0)
         first[hit] = start + np.argmax(below[:, hit], axis=0) + 1
     return (m[0], m[1], m[2], point), first
@@ -544,6 +550,9 @@ def _integrate_batch(device: MtjDevice, amplitudes_ua: np.ndarray, duration_ns: 
                  for aj in distinct.tolist()]
         switch_step = np.array(steps, dtype=np.int64)[inverse]
     else:
+        if not rngs or n % len(rngs):
+            raise InvalidParameterError(
+                f"{n} rows do not split into equal blocks over {len(rngs or ())} streams")
         per_point = n // len(rngs)
         columns = zip(*(_initial_state(device, rng, per_point) for rng in rngs))
         state = (*(np.concatenate(c) for c in columns),
@@ -613,7 +622,8 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
     Each grid point gets a private stream derived from (cfg.seed, point
     index), points in duration-major order.  The points of one duration
     are split into min(workers, amplitudes) interleaved groups, and each
-    group is integrated as one batch in one task.  A point's estimate
+    group is integrated as one batch in one task, on min(workers, tasks)
+    processes (this one alone when that is 1).  A point's estimate
     depends only on its own stream, so the result is identical however
     the points are grouped and however many workers run.
     """
@@ -626,8 +636,9 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
         keyed = [(di * len(amps) + ai, WritePulse(a, float(d)))
                  for ai, a in enumerate(amps)]
         tasks += [(device, cfg, keyed[g::groups]) for g in range(groups)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks))  # a pool forks all its workers at its first task
+    if pool_size > 1:
+        with concurrent.futures.ProcessPoolExecutor(pool_size) as pool:
             done = list(pool.map(_sweep_group, tasks))
     else:
         done = [_sweep_group(t) for t in tasks]

@@ -193,6 +193,19 @@ def test_wer_sweep_rerun_byte_identical(wer_run, tmp_path):
     assert_rerun_identical(wer_run, tmp_path)
 
 
+# sha256 of (sweep.csv, ladder.json) of the default 300 K sweep at 60 trials:
+# five points in one batch over about 50 compaction chunks. A change to the
+# thermal integrator or the stream layout that flips one trial's outcome fails here.
+PINNED_WER_SWEEP = ("8472083b3833f5d9b67ddc17ebb5898362b6587d77106fa4df4a611385183e9e",
+                    "e7feb7a75e1b1a236abfa57f2bc966777b7e2ec4a262de15884a77c280fe6553")
+
+
+def test_wer_sweep_outputs_pinned(wer_run):
+    digests = tuple(hashlib.sha256((wer_run / f).read_bytes()).hexdigest()
+                    for f in ("sweep.csv", "ladder.json"))
+    assert digests == PINNED_WER_SWEEP
+
+
 def test_wer_sweep_precedence_flag_beats_file_beats_default(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -411,6 +412,38 @@ def test_wer_sweep_matches_per_point_streams():
         assert [p.p_switch for p in curve.points] == alone, workers
 
 
+@pytest.mark.parametrize("workers,amps,durations,pool_sizes", [
+    (8, [180.0, 220.0, 260.0], [0.02], [3]),  # three tasks
+    (8, [220.0], [0.02], []),  # one task runs here, with no pool
+    (2, [180.0, 220.0, 260.0], [0.02, 0.03], [2]),  # four tasks on two workers
+])
+def test_wer_sweep_pool_sized_to_its_tasks(monkeypatch, workers, amps, durations,
+                                           pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    cfg = MagSimConfig(trials=2, seed=9, relax_time_ns=0.0)
+    serial = run_wer_sweep(default_device(), amps, durations, cfg)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_wer_sweep(default_device(), amps, durations, cfg, workers=workers)
+    assert sizes == pool_sizes
+    assert pooled.points == serial.points
+
+
 def test_wer_sweep_pinned_p_switch():
     curve = run_wer_sweep(default_device(), _LAYOUT_AMPS, _LAYOUT_DURATIONS,
                           _LAYOUT_CFG)
@@ -473,14 +506,29 @@ def _chunk_args(aj, mz=None, steps=300):
 _CHUNK_AJ = 0.006 * HK_OE * np.repeat([60.0, 100.0, 140.0], 4) / IC0_UA
 
 
-@pytest.mark.parametrize("aj,mz,steps", [
-    (_CHUNK_AJ, None, 300),  # per-row drive
-    (0.0, None, 300),  # relaxation: the torque terms are skipped
-    (_CHUNK_AJ, np.linspace(-0.2, -0.45, 12), 150),  # crossings after block 1
-], ids=["drive", "relax", "crossing"])
-def test_llg_chunk_matches_per_component_reference_bitwise(aj, mz, steps):
-    (mx, my, mz_end, _), first = _llg_chunk(*_chunk_args(aj, mz, steps))
-    (rx, ry, rz, _), rfirst = heun_llg_reference(*_chunk_args(aj, mz, steps))
+def _chunk_rows(args, keep):
+    """_chunk_args with only the rows `keep` of the 12 still active."""
+    args = list(args)
+    if keep is not None:
+        args[6] = tuple(s[keep] for s in args[6])
+        if np.ndim(args[7]):
+            args[7] = args[7][keep]
+    return args
+
+
+@pytest.mark.parametrize("aj,mz,steps,keep", [
+    (_CHUNK_AJ, None, 300, None),  # per-row drive
+    (0.0, None, 300, None),  # relaxation: the torque terms are skipped
+    (_CHUNK_AJ, np.linspace(-0.2, -0.45, 12), 150, None),  # crossings after block 1
+    (_CHUNK_AJ, None, 150, [0, 1, 2, 3, 8, 9, 10, 11]),  # point 1 has no active row
+    (_CHUNK_AJ, None, 150, [0, 1, 2, 3, 5, 8, 9, 10]),  # 4, 1 and 3 rows
+    (_CHUNK_AJ, None, 150, [6]),  # one row: the sums over components at width 1
+], ids=["drive", "relax", "crossing", "empty-point", "unequal-points", "one-row"])
+def test_llg_chunk_matches_per_component_reference_bitwise(aj, mz, steps, keep):
+    (mx, my, mz_end, _), first = _llg_chunk(*_chunk_rows(_chunk_args(aj, mz, steps), keep))
+    (rx, ry, rz, _), rfirst = heun_llg_reference(
+        *_chunk_rows(_chunk_args(aj, mz, steps), keep))
+    assert len(mz_end) == (12 if keep is None else len(keep))
     for got, ref in ((mx, rx), (my, ry), (mz_end, rz)):
         assert got.tobytes() == ref.tobytes()
     assert first.tolist() == rfirst.tolist()
@@ -497,6 +545,15 @@ def test_llg_chunk_blow_up_raises(bad):
     args[6] = (mx, my, mz, point)
     with pytest.raises(NumericalFailureError, match="unit sphere"):
         _llg_chunk(*args)
+
+
+@pytest.mark.parametrize("streams", [0, 3], ids=["no-streams", "rows-not-a-multiple"])
+def test_integrate_batch_rejects_streams_that_do_not_split_the_rows(streams):
+    rngs = [derive_stream(1, i) for i in range(streams)]
+    with pytest.raises(InvalidParameterError, match="4 rows do not split .* over "
+                       f"{streams} streams"):
+        _integrate_batch(default_device(), np.full(4, 60.0), 0.01, MagSimConfig(trials=4),
+                         rngs)
 
 
 def test_find_switching_threshold_requires_zero_temp():
