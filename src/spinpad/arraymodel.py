@@ -248,10 +248,6 @@ class CalibrationTable:
                             f"{kind.value}: {name} must be positive at every anchor"
                         )
 
-    @classmethod
-    def default(cls) -> "CalibrationTable":
-        return cls()
-
     def anchors_for(self, kind: TechnologyKind) -> tuple[ArrayMetrics, ...]:
         """Anchor set backing a technology; MRAM modes share MRAM_BASE anchors."""
         if kind in self.anchors:
@@ -259,12 +255,6 @@ class CalibrationTable:
         if kind in _MRAM_KINDS and TechnologyKind.MRAM_BASE in self.anchors:
             return self.anchors[TechnologyKind.MRAM_BASE]
         raise ConfigError(f"no calibration anchors for technology {kind.value!r}")
-
-    def capacities(self, kind: TechnologyKind) -> list[float]:
-        return [p.capacity_kb for p in self.anchors_for(kind)]
-
-    def areas(self, kind: TechnologyKind) -> list[float]:
-        return [p.area_mm2 for p in self.anchors_for(kind)]
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CalibrationTable":
@@ -399,7 +389,7 @@ def derive_custom_mode(
             "baseline pulse does not sit at the baseline WER "
             f"{WER_BASELINE} on this fit (ln WER {ln_base:.4f})"
         )
-    wer = min(math.exp(fit.ln_wer_at(pulse.amplitude_ua)), math.nextafter(1.0, 0.0))
+    wer = min(fit.wer_at(pulse.amplitude_ua), math.nextafter(1.0, 0.0))
     return MemoryTechnology.custom(
         write_latency_factor=pulse.duration_ns / baseline.duration_ns,
         write_energy_factor=relative_write_energy(pulse, baseline),

@@ -157,7 +157,7 @@ def _workload_from_config(items, where: str) -> list[LayerSpec]:
 
 def _table(calibration_csv: str | None) -> CalibrationTable:
     return (CalibrationTable.from_csv(calibration_csv) if calibration_csv
-            else CalibrationTable.default())
+            else CalibrationTable())
 
 
 def _default_workload() -> list[dict]:

@@ -219,9 +219,10 @@ _PHASE_STORES = {
 class AccessTrace:
     """Read/write counts per (layer, phase, store) plus compute totals.
 
-    `accesses` and `compute` are the per-key record that bench/spans.py and
-    the tests read. Only `add` and `set_compute` fill them, and they also keep
-    the totals per (phase, store) and per phase that every getter looks up.
+    `accesses` and `compute` are the per-key record, which only
+    tests/oracles.py reads. Only `add` and `set_compute` fill them; they also
+    keep the totals per (phase, store) and per phase that every getter looks
+    up. The benchmark reads `dram_elements()` and `total_cycles()`.
 
     `capacity_range[store]` is the byte range [lo, hi) of that buffer's
     capacity over which every placement decision of simulate_iteration comes
@@ -260,9 +261,6 @@ class AccessTrace:
 
     def dram_elements(self) -> int:
         return self.reads(Store.DRAM) + self.writes(Store.DRAM)
-
-    def total_macs(self) -> int:
-        return sum(self.phase_macs(phase) for phase in Phase)
 
     def total_cycles(self) -> int:
         return sum(self.phase_cycles(phase) for phase in Phase)

@@ -97,9 +97,6 @@ class EnergyReport:
             "compute_nj": self.compute_nj,
         }
 
-    def largest_component(self) -> str:
-        return max(self.components().items(), key=lambda kv: kv[1])[0]
-
     def as_dict(self) -> dict:
         out = dict(self.components())
         out["total_nj"] = self.total_nj
@@ -207,7 +204,7 @@ def compare_iso_capacity(
     sys: SystemEnergyConfig | None = None, memo: dict | None = None,
 ) -> ComparisonPoint:
     """Same per-buffer capacity for both technologies: one shared trace."""
-    table = table or CalibrationTable.default()
+    table = table or CalibrationTable()
     sys = sys or SystemEnergyConfig()
     trace = _trace(workload, _buffered(cfg, capacity_kb), memo, 0)
     reports = []
@@ -227,7 +224,7 @@ def compare_iso_area(
     sys: SystemEnergyConfig | None = None, memo: dict | None = None,
 ) -> ComparisonPoint:
     """Equal silicon budget: each technology resolves its own capacity."""
-    table = table or CalibrationTable.default()
+    table = table or CalibrationTable()
     sys = sys or SystemEnergyConfig()
     caps, reports, drams = [], [], []
     for side, tech in enumerate((tech_a, tech_b)):

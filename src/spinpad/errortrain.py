@@ -3,12 +3,17 @@
 Write errors are modeled as independent per-bit flips on IEEE 754 binary32
 words, with separate rates for the sign bit, the exponent bits, and a
 configurable span of low-order mantissa bits. Injection happens on every
-scratchpad write event during training: layer activations after the forward
+scratchpad write event during training: layer activations in the forward
 pass, error tensors during the backward pass, and weights after the update
 step. Weight gradients are consumed immediately and never written back, so
 they are not an injection point. Values that come out of injection non-finite
 are replaced with zero and counted, so a wrecked run diverges observably
 instead of crashing.
+
+One forward/backward pass, _backprop, serves the trainer, the test accuracy
+and the gradient check. It hands every tensor it stores to a write hook,
+write(kind, layer, tensor), and goes on with what the hook returns: the
+trainer's hook injects, the default hook keeps the tensor as written.
 
 Randomness is derived per write event from a counter-style key
 (seed, kind, epoch, batch, layer), making the training curve a pure function
@@ -84,10 +89,6 @@ class SegmentErrorConfig:
     def is_zero(self) -> bool:
         return self.sign_wer == self.exponent_wer == self.mantissa_wer == 0.0
 
-    @classmethod
-    def zero(cls) -> "SegmentErrorConfig":
-        return cls()
-
 
 @dataclass(frozen=True)
 class BufferErrorBinding:
@@ -101,14 +102,6 @@ class BufferErrorBinding:
     def is_zero(self) -> bool:
         return (self.activations.is_zero and self.weights.is_zero
                 and self.errors.is_zero)
-
-    @classmethod
-    def zero(cls) -> "BufferErrorBinding":
-        return cls()
-
-    @classmethod
-    def uniform(cls, cfg: SegmentErrorConfig) -> "BufferErrorBinding":
-        return cls(activations=cfg, weights=cfg, errors=cfg)
 
 
 @dataclass(frozen=True)
@@ -263,48 +256,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_clean(params, x, act_fn) -> np.ndarray:
-    a = x
-    last = len(params) - 1
-    for i, (w, b) in enumerate(params):
-        z = a @ w + b
-        a = act_fn(z) if i < last else z
-    return a
+def _keep(kind: int, layer: int, tensor: np.ndarray) -> np.ndarray:
+    """The write hook of a pass without injection: stored as written."""
+    return tensor
 
 
-def loss_and_gradients(params, x, y, activation: str = "tanh",
-                       loss: str = "cross_entropy"):
-    """Clean (injection-free) loss and parameter gradients; any dtype."""
-    act_fn, act_deriv = _activation_pair(activation)
-    n = x.shape[0]
+def _forward(params, x, act_fn, write=_keep) -> list[np.ndarray]:
+    """x and what each layer writes of its activation; the last is the logits."""
     acts = [x]
-    a = x
     last = len(params) - 1
-    for i, (w, b) in enumerate(params):
-        z = a @ w + b
-        a = act_fn(z) if i < last else z
-        acts.append(a)
-    logits = acts[-1]
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(n), y] = 1.0
-    if loss == "cross_entropy":
-        p = _softmax(logits)
-        with np.errstate(divide="ignore"):
-            value = float(-np.log(p[np.arange(n), y]).mean())
-        e = (p - onehot) / n
-    elif loss == "quadratic":
-        diff = logits - onehot
-        value = float(0.5 * (diff * diff).sum() / n)
-        e = diff / n
-    else:
-        raise InvalidParameterError(f"unknown loss {loss!r}")
+    for li, (w, b) in enumerate(params):
+        z = acts[-1] @ w + b
+        acts.append(write(_K_ACT, li, act_fn(z) if li < last else z))
+    return acts
+
+
+def _backprop(params, x, y, act_fn, act_deriv, write=_keep):
+    """Mean cross-entropy loss and its parameter gradients, in x's dtype.
+
+    Each activation and each propagated error tensor (the loss gradient
+    first) goes through write(kind, layer, tensor), which returns what the
+    scratchpad holds once the tensor is written; the pass goes on with that.
+    The gradients are None when the loss is not finite.
+    """
+    acts = _forward(params, x, act_fn, write)
+    rows = np.arange(x.shape[0])
+    p = _softmax(acts[-1])
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(p[rows, y]).mean())
+    if not math.isfinite(loss):
+        return loss, None
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    last = len(params) - 1
+    e = write(_K_ERR, last, (p - onehot) / x.shape[0])
     grads = [None] * len(params)
-    for i in range(last, -1, -1):
-        w, _ = params[i]
-        grads[i] = (acts[i].T @ e, e.sum(axis=0))
-        if i:
-            e = (e @ w.T) * act_deriv(acts[i])
-    return value, grads
+    for li in range(last, -1, -1):
+        grads[li] = (acts[li].T @ e, e.sum(axis=0))
+        if li:
+            e = write(_K_ERR, li - 1, (e @ params[li][0].T) * act_deriv(acts[li]))
+    return loss, grads
 
 
 # ---------------------------------------------------------------- training
@@ -348,7 +339,7 @@ def _validate_dataset(spec: TinyNetSpec, ds: Dataset) -> None:
 
 
 def _accuracy(params, x, y, act_fn) -> float:
-    logits = _forward_clean(params, x, act_fn)
+    logits = _forward(params, x, act_fn)[-1]
     return 100.0 * float((logits.argmax(axis=1) == y).mean())
 
 
@@ -356,11 +347,14 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                       binding: BufferErrorBinding) -> TrainingResult:
     """Minibatch SGD with write-error injection at every scratchpad write.
 
-    Injection points per minibatch: each layer's activation after the
-    forward pass, each propagated error tensor during the backward pass
-    (including the loss gradient), and each weight/bias tensor after the
-    SGD update. A zero binding skips injection entirely, so it is
-    bit-identical to an error-free trainer with the same seed.
+    Each minibatch is one _backprop pass in float32 followed by the SGD
+    update. Every tensor the scratchpads store goes through one write hook:
+    each layer's activation in the forward pass, each propagated error
+    tensor in the backward pass (the loss gradient first), and each
+    weight and bias tensor after the update. The hook injects with the
+    write event's own stream and counts what was sanitized; for a store
+    whose config is zero it returns the tensor unchanged, so a zero binding
+    is bit-identical to an error-free trainer with the same seed.
     """
     _validate_dataset(spec, dataset)
     act_fn, act_deriv = _activation_pair(spec.activation)
@@ -370,8 +364,18 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
     x_test = np.ascontiguousarray(dataset.x_test, dtype=np.float32)
     y_test = np.ascontiguousarray(dataset.y_test, dtype=np.int64)
     n = x_train.shape[0]
-    last = len(params) - 1
     lr = np.float32(spec.learning_rate)
+    stores = {_K_ACT: binding.activations, _K_ERR: binding.errors,
+              _K_WEIGHT: binding.weights, _K_BIAS: binding.weights}
+
+    def write(kind, layer, tensor):
+        nonlocal epoch_sanitized
+        cfg = stores[kind]
+        if cfg.is_zero:
+            return tensor
+        out, st = inject_tensor(tensor, cfg, stream(kind, epoch, batch, layer))
+        epoch_sanitized += st.sanitized
+        return out
 
     losses: list[float] = []
     accs: list[float] = []
@@ -389,65 +393,15 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
         epoch_sanitized = 0
 
         for batch, lo in enumerate(range(0, n, spec.batch_size)):
-            xb = xs[lo:lo + spec.batch_size]
-            yb = ys[lo:lo + spec.batch_size]
-            m = xb.shape[0]
-
-            # forward; activations are written per layer, so inject per layer
-            acts = [xb]
-            a = xb
-            for li, (w, b) in enumerate(params):
-                z = a @ w + b
-                a = act_fn(z) if li < last else z
-                if not binding.activations.is_zero:
-                    a, st = inject_tensor(
-                        a, binding.activations,
-                        stream(_K_ACT, epoch, batch, li))
-                    epoch_sanitized += st.sanitized
-                acts.append(a)
-
-            p = _softmax(acts[-1])
-            with np.errstate(divide="ignore"):
-                loss = float(-np.log(p[np.arange(m), yb]).mean())
-            if not math.isfinite(loss):
+            loss, grads = _backprop(params, xs[lo:lo + spec.batch_size],
+                                    ys[lo:lo + spec.batch_size], act_fn, act_deriv, write)
+            if grads is None:
                 return TrainingResult(losses, accs, sanitized, True, epoch_sanitized)
             batch_losses.append(loss)
-
-            onehot = np.zeros_like(p)
-            onehot[np.arange(m), yb] = 1.0
-            e = (p - onehot) / np.float32(m)
-            # backward; every error tensor is written to the error buffer
-            if not binding.errors.is_zero:
-                e, st = inject_tensor(
-                    e, binding.errors,
-                    stream(_K_ERR, epoch, batch, last))
-                epoch_sanitized += st.sanitized
-            grads = [None] * len(params)
-            for li in range(last, -1, -1):
-                w, _ = params[li]
-                grads[li] = (acts[li].T @ e, e.sum(axis=0))
-                if li:
-                    e = (e @ w.T) * act_deriv(acts[li])
-                    if not binding.errors.is_zero:
-                        e, st = inject_tensor(
-                            e, binding.errors,
-                            stream(_K_ERR, epoch, batch, li - 1))
-                        epoch_sanitized += st.sanitized
-
-            # update; weights are written back, gradients never are
+            # weights are written back, gradients never are
             for li, ((w, b), (dw, db)) in enumerate(zip(params, grads)):
-                w = w - lr * dw
-                b = b - lr * db
-                if not binding.weights.is_zero:
-                    w, st = inject_tensor(
-                        w, binding.weights,
-                        stream(_K_WEIGHT, epoch, batch, li))
-                    epoch_sanitized += st.sanitized
-                    b, st = inject_tensor(
-                        b, binding.weights,
-                        stream(_K_BIAS, epoch, batch, li))
-                    epoch_sanitized += st.sanitized
-                params[li] = (w, b)
+                params[li] = (write(_K_WEIGHT, li, w - lr * dw),
+                              write(_K_BIAS, li, b - lr * db))
 
         losses.append(float(np.mean(batch_losses)))
         accs.append(_accuracy(params, x_test, y_test, act_fn))
@@ -458,7 +412,7 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
 
 def train_reference(spec: TinyNetSpec, dataset: Dataset) -> TrainingResult:
     """Error-free baseline with the identical schedule and randomness."""
-    return train_with_errors(spec, dataset, BufferErrorBinding.zero())
+    return train_with_errors(spec, dataset, BufferErrorBinding())
 
 
 # ------------------------------------------------------------- experiments

@@ -262,9 +262,6 @@ class LnWerFit:
     def wer_at(self, amplitude_ua: float) -> float:
         return math.exp(self.ln_wer_at(amplitude_ua))
 
-    def fitted_psw(self, amplitude_ua: float) -> float:
-        return min(1.0, max(0.0, 1.0 - self.wer_at(amplitude_ua)))
-
 
 # ---------------------------------------------------------------------------
 # thermal field
@@ -281,15 +278,6 @@ def thermal_field_std_oe(device: MtjDevice, time_step_ps: float) -> float:
     den = (device.gyromagnetic_ratio_oe * device.saturation_magnetization_emu_cc
            * device.volume_cm3 * dt_s)
     return math.sqrt(num / den)
-
-
-def sample_thermal_field(device: MtjDevice, time_step_ps: float,
-                         rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n independent thermal field vectors, shape (n, 3), in Oe."""
-    sigma = thermal_field_std_oe(device, time_step_ps)
-    if sigma == 0.0:
-        return np.zeros((n, 3))
-    return sigma * rng.standard_normal((n, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +576,6 @@ def estimate_psw(device: MtjDevice, pulse: WritePulse, cfg: MagSimConfig,
     switched, _ = _integrate_batch(
         device, np.full(cfg.trials, pulse.amplitude_ua), pulse.duration_ns, cfg, [rng])
     return int(switched.sum()) / cfg.trials
-
-
-def wer_from_psw(p_switch):
-    """Write error rate 1 - p_switch; exact complement, scalar or array."""
-    arr = np.asarray(p_switch, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise InvalidParameterError("p_switch must lie in [0, 1]")
-    out = 1.0 - arr
-    return float(out) if np.isscalar(p_switch) or arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinpad.errors import InvalidParameterError
-from spinpad.errortrain import init_params, inject_tensor, loss_and_gradients
-from spinpad.magnetics import _default_tilt, _integrate_batch, derive_stream
+from spinpad.errortrain import _activation_pair, _backprop, init_params, inject_tensor
+from spinpad.magnetics import _default_tilt, _integrate_batch, _llg_chunk, derive_stream
 
 KB_ERG = 1.380649e-16
 GYRO = 1.76e7
@@ -321,8 +321,9 @@ def inject_word(value, cfg, rng):
     return float(out[0])
 
 
-def gradient_check(spec, x, y, loss="cross_entropy", params=None, step=1e-4):
-    """Max relative error of loss_and_gradients vs central differences (float64)."""
+def gradient_check(spec, x, y, params=None, step=1e-4):
+    """Max relative error of _backprop's gradients vs central differences of
+    its loss, in float64 (the trainer runs the same pass in float32)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if params is None:
@@ -330,7 +331,8 @@ def gradient_check(spec, x, y, loss="cross_entropy", params=None, step=1e-4):
     else:
         params = [(np.asarray(w, np.float64), np.asarray(b, np.float64))
                   for w, b in params]
-    _, grads = loss_and_gradients(params, x, y, spec.activation, loss)
+    act = _activation_pair(spec.activation)
+    _, grads = _backprop(params, x, y, *act)
     worst = 0.0
     for li, (w, b) in enumerate(params):
         for tensor, grad in ((w, grads[li][0]), (b, grads[li][1])):
@@ -339,12 +341,30 @@ def gradient_check(spec, x, y, loss="cross_entropy", params=None, step=1e-4):
             for j in range(flat.size):
                 keep = flat[j]
                 flat[j] = keep + step
-                up, _ = loss_and_gradients(params, x, y, spec.activation, loss)
+                up, _ = _backprop(params, x, y, *act)
                 flat[j] = keep - step
-                dn, _ = loss_and_gradients(params, x, y, spec.activation, loss)
+                dn, _ = _backprop(params, x, y, *act)
                 flat[j] = keep
                 numeric = (up - dn) / (2.0 * step)
                 scale = max(abs(gflat[j]), abs(numeric))
                 if scale > 1e-8:
                     worst = max(worst, abs(gflat[j] - numeric) / scale)
     return worst
+
+
+def applied_thermal_field(sigma, rng, n):
+    """(n, 3) thermal field samples, read back from one step of _llg_chunk.
+
+    With no damping, anisotropy or drive, a Heun step of length dt turns m
+    by dt * (H x m) to first order: (H_y, -H_x, 0) from m = +z and
+    (0, H_z, -H_y) from m = +x. n rows start at each; H_x and H_y come from
+    the first n, H_z from the other n. With dt * |H| a few 1e-4 at 300 K the
+    second-order terms sit far below any statistical tolerance, and with
+    no field m does not move at all.
+    """
+    dt = 1e-6
+    zero, one = np.zeros(n), np.ones(n)
+    state = (np.concatenate([zero, one]), np.zeros(2 * n), np.concatenate([one, zero]),
+             np.zeros(2 * n, dtype=np.int64))
+    (mx, my, _, _), _ = _llg_chunk([rng], sigma, 0.0, 0.0, 1.0, dt, state, 0.0, 1)
+    return np.stack([-my[:n], mx[:n], my[n:]], axis=1) / dt

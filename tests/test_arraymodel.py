@@ -22,7 +22,7 @@ from spinpad.arraymodel import (
 from spinpad.errors import ConfigError, InvalidParameterError, OutOfRangeError
 from spinpad.magnetics import LnWerFit, WER_BASELINE, WritePulse
 
-TABLE = CalibrationTable.default()
+TABLE = CalibrationTable()
 CONFIGS = Path(__file__).parent.parent / "configs"
 SRAM = MemoryTechnology.sram()
 MRAM = MemoryTechnology.mram_base()
@@ -119,7 +119,7 @@ def test_loglog_midpoint():
 
 
 def test_guard_band_clamps_then_errors():
-    caps = TABLE.capacities(TechnologyKind.SRAM)
+    caps = [p.capacity_kb for p in TABLE.anchors_for(TechnologyKind.SRAM)]
     at_min = metrics_at_capacity(TABLE, SRAM, caps[0])
     clamped = metrics_at_capacity(TABLE, SRAM, caps[0] / 2.0)
     assert clamped.read_latency_ns == at_min.read_latency_ns
@@ -172,7 +172,7 @@ def test_capacity_at_area_roundtrip():
 
 
 def test_capacity_at_area_range():
-    areas = TABLE.areas(TechnologyKind.MRAM_BASE)
+    areas = [p.area_mm2 for p in TABLE.anchors_for(TechnologyKind.MRAM_BASE)]
     with pytest.raises(OutOfRangeError):
         capacity_at_area(TABLE, MRAM, areas[0] * 0.9)
     with pytest.raises(OutOfRangeError):
@@ -186,8 +186,8 @@ def test_iso_area_capacity_and_leakage_ratios():
     # ratios 512/183 = 2.798 and 594/323 = 1.839 sit just outside them, so
     # the check allows 3.5% relative slack on the band edges.
     slack = 0.035
-    s_areas = TABLE.areas(TechnologyKind.SRAM)
-    m_areas = TABLE.areas(TechnologyKind.MRAM_BASE)
+    s_areas = [p.area_mm2 for p in TABLE.anchors_for(TechnologyKind.SRAM)]
+    m_areas = [p.area_mm2 for p in TABLE.anchors_for(TechnologyKind.MRAM_BASE)]
     lo = max(s_areas[0], m_areas[0])
     hi = min(s_areas[-1], m_areas[-1])
     shared = sorted({a for a in s_areas + m_areas if lo <= a <= hi})
@@ -204,8 +204,8 @@ def test_iso_area_capacity_and_leakage_ratios():
 
 
 def test_mram_leakage_advantage_above_128kb():
-    caps = sorted(set(TABLE.capacities(TechnologyKind.SRAM)
-                      + TABLE.capacities(TechnologyKind.MRAM_BASE)))
+    caps = sorted({p.capacity_kb for kind in (TechnologyKind.SRAM, TechnologyKind.MRAM_BASE)
+                   for p in TABLE.anchors_for(kind)})
     for cap in caps:
         if cap < 128.0:
             continue
@@ -284,7 +284,7 @@ def test_mram_modes_share_base_anchors():
 def test_csv_roundtrip():
     # the bundled calibration file holds exactly the built-in anchors
     back = CalibrationTable.from_csv(CONFIGS / "calibration_default.csv")
-    assert back.anchors == CalibrationTable.default().anchors
+    assert back.anchors == CalibrationTable().anchors
 
 
 def test_csv_errors(tmp_path):

@@ -285,7 +285,7 @@ def test_array_sweep_matches_library(tmp_path):
                    "--capacities", "32.0,183.0", "--out", str(out)) == 0
     rows = read_csv(out / "metrics.csv")
     assert len(rows) == 4
-    table = CalibrationTable.default()
+    table = CalibrationTable()
     for row in rows:
         tech = MemoryTechnology.from_name(row["technology"])
         m = metrics_at_capacity(table, tech, float(row["capacity_kb"]))

@@ -11,17 +11,19 @@ from hypothesis.extra import numpy as hnp
 from spinpad.errors import ConfigError, InvalidParameterError
 from spinpad.errortrain import (
     _DRAW_CAP,
+    _K_SHUFFLE,
     BufferErrorBinding,
     Dataset,
     ExperimentConfig,
     SegmentErrorConfig,
     TinyNetSpec,
     TrainingResult,
+    _activation_pair,
+    _backprop,
     _flip_mask,
     experiment_from_dict,
     init_params,
     inject_tensor,
-    loss_and_gradients,
     make_moons_dataset,
     run_experiment,
     train_reference,
@@ -49,6 +51,11 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
 
 
+def every_store(cfg):
+    """One segment config bound to all three scratchpads."""
+    return BufferErrorBinding(activations=cfg, weights=cfg, errors=cfg)
+
+
 # --------------------------------------------------------------- configs
 
 def test_segment_config_validation():
@@ -65,18 +72,18 @@ def test_segment_config_validation():
 
 
 def test_zero_configs():
-    assert SegmentErrorConfig.zero().is_zero
+    assert SegmentErrorConfig().is_zero
     assert not SegmentErrorConfig(mantissa_wer=1e-3).is_zero
-    assert BufferErrorBinding.zero().is_zero
-    uni = BufferErrorBinding.uniform(SegmentErrorConfig(sign_wer=0.1))
-    assert not uni.is_zero
-    assert uni.activations == uni.weights == uni.errors
+    assert BufferErrorBinding().is_zero
+    for store in ("activations", "weights", "errors"):
+        one = BufferErrorBinding(**{store: SegmentErrorConfig(sign_wer=0.1)})
+        assert not one.is_zero
 
 
 # ------------------------------------------------------------- injection
 
 def test_inject_word_identity():
-    assert inject_word(1.25, SegmentErrorConfig.zero(), rng(0)) == 1.25
+    assert inject_word(1.25, SegmentErrorConfig(), rng(0)) == 1.25
 
 
 def test_inject_word_forced_sign_flip():
@@ -94,12 +101,12 @@ def test_inject_word_forced_low_mantissa_bit():
 
 def test_inject_word_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
-        inject_word(float("nan"), SegmentErrorConfig.zero(), rng(4))
+        inject_word(float("nan"), SegmentErrorConfig(), rng(4))
 
 
 def test_inject_tensor_zero_config_bit_identical():
     x = np.linspace(-5, 5, 1000, dtype=np.float32)
-    out, stats = inject_tensor(x, SegmentErrorConfig.zero(), rng(5))
+    out, stats = inject_tensor(x, SegmentErrorConfig(), rng(5))
     assert np.array_equal(bits(out), bits(x))
     assert (stats.bit_flips, stats.sanitized) == (0, 0)
 
@@ -305,11 +312,10 @@ def test_gradient_check_two_hidden_layers():
 
 
 def test_gradient_check_linear_quadratic():
-    # quadratic loss on a single linear layer: central differences are exact
-    # up to float64 rounding
+    # cross-entropy on a single linear layer: at step 1e-5 the central
+    # differences' O(step^2) truncation error is about 1e-9 here
     x, y = two_moons(8, seed=17)
-    err = gradient_check(TinyNetSpec(layer_sizes=(2, 2), seed=6), x, y,
-                         loss="quadratic")
+    err = gradient_check(TinyNetSpec(layer_sizes=(2, 2), seed=6), x, y, step=1e-5)
     assert err < 1e-8
 
 
@@ -323,18 +329,32 @@ def test_zero_weight_network_has_zero_weight_gradients():
     spec = TinyNetSpec(layer_sizes=(2, 4, 2), seed=0)
     params = [(np.zeros((2, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))]
     x, y = two_moons(6, seed=23)
-    _, grads = loss_and_gradients(params, x.astype(np.float64), y)
+    _, grads = _backprop(params, x.astype(np.float64), y, *_activation_pair("tanh"))
     # tanh(0) = 0 kills every activation, so all weight gradients cancel
     assert np.array_equal(grads[0][0], np.zeros((2, 4)))
     assert np.array_equal(grads[1][0], np.zeros((4, 2)))
     assert gradient_check(spec, x, y, params=params) < 1e-6
 
 
-def test_unknown_loss_rejected():
-    params = init_params(TinyNetSpec(layer_sizes=(2, 2)), dtype=np.float64)
-    x, y = two_moons(4, seed=29)
-    with pytest.raises(InvalidParameterError):
-        loss_and_gradients(params, x.astype(np.float64), y, loss="hinge")
+def test_full_batch_epoch_is_one_step_of_the_checked_backprop(monkeypatch):
+    # batch_size == n_train: one epoch is one SGD step from init_params along
+    # the float32 gradients of the pass that gradient_check checks in float64
+    spec = replace(SPEC, batch_size=len(DATASET.x_train), epochs=1)
+    seen = []
+    monkeypatch.setattr("spinpad.errortrain._accuracy",
+                        lambda params, *rest: seen.append(list(params)) or 0.0)
+    result = train_with_errors(spec, DATASET, BufferErrorBinding())
+    order = derive_stream(spec.seed, _K_SHUFFLE, 0).permutation(len(DATASET.x_train))
+    start = init_params(spec)
+    loss, grads = _backprop(start, DATASET.x_train[order], DATASET.y_train[order],
+                            *_activation_pair(spec.activation))
+    lr = np.float32(spec.learning_rate)
+    assert result.train_loss == [loss]
+    [trained] = seen
+    for (w, b), (w0, b0), (dw, db) in zip(trained, start, grads):
+        assert w.dtype == b.dtype == np.float32
+        assert np.array_equal(bits(w), bits(w0 - lr * dw))
+        assert np.array_equal(bits(b), bits(b0 - lr * db))
 
 
 # -------------------------------------------------------------- training
@@ -345,20 +365,20 @@ def test_dataset_validation():
     with pytest.raises(InvalidParameterError):
         train_with_errors(spec, Dataset(good.x_train[:, :1], good.y_train,
                                         good.x_test, good.y_test),
-                          BufferErrorBinding.zero())
+                          BufferErrorBinding())
     with pytest.raises(InvalidParameterError):
         train_with_errors(spec, Dataset(good.x_train, good.y_train + 5,
                                         good.x_test, good.y_test),
-                          BufferErrorBinding.zero())
+                          BufferErrorBinding())
     with pytest.raises(InvalidParameterError):
         train_with_errors(spec, Dataset(good.x_train, good.y_train,
                                         good.x_test[:0], good.y_test[:0]),
-                          BufferErrorBinding.zero())
+                          BufferErrorBinding())
 
 
 def test_zero_binding_matches_reference_bit_identically():
     spec = replace(SPEC, epochs=8)
-    a = train_with_errors(spec, DATASET, BufferErrorBinding.zero())
+    a = train_with_errors(spec, DATASET, BufferErrorBinding())
     b = train_reference(spec, DATASET)
     assert a.train_loss == b.train_loss
     assert a.test_accuracy == b.test_accuracy
@@ -368,7 +388,7 @@ def test_zero_binding_matches_reference_bit_identically():
 
 def test_training_curve_deterministic():
     spec = replace(SPEC, epochs=5)
-    binding = BufferErrorBinding.uniform(SegmentErrorConfig(mantissa_wer=1e-2))
+    binding = every_store(SegmentErrorConfig(mantissa_wer=1e-2))
     a = train_with_errors(spec, DATASET, binding)
     b = train_with_errors(spec, DATASET, binding)
     assert a.train_loss == b.train_loss
@@ -387,7 +407,7 @@ def test_mantissa_noise_changes_curve_but_not_outcome():
     base = train_reference(spec, DATASET)
     noisy = train_with_errors(
         spec, DATASET,
-        BufferErrorBinding.uniform(SegmentErrorConfig(mantissa_wer=1e-3)))
+        every_store(SegmentErrorConfig(mantissa_wer=1e-3)))
     assert noisy.train_loss != base.train_loss
     assert abs(noisy.final_accuracy - base.final_accuracy) <= 5.0
 
@@ -396,7 +416,7 @@ def test_exponent_errors_wreck_training():
     spec = replace(SPEC, seed=1)
     result = train_with_errors(
         spec, DATASET,
-        BufferErrorBinding.uniform(SegmentErrorConfig(exponent_wer=1e-2)))
+        every_store(SegmentErrorConfig(exponent_wer=1e-2)))
     base = train_reference(spec, DATASET)
     assert result.diverged or result.final_accuracy <= base.final_accuracy - 10.0
 
@@ -405,7 +425,7 @@ def test_diverged_result_shape():
     spec = replace(SPEC, seed=2)
     result = train_with_errors(
         spec, DATASET,
-        BufferErrorBinding.uniform(SegmentErrorConfig(exponent_wer=0.5)))
+        every_store(SegmentErrorConfig(exponent_wer=0.5)))
     assert result.diverged
     assert result.epochs_completed < spec.epochs
     assert result.final_accuracy == 0.0 or result.test_accuracy
@@ -423,7 +443,7 @@ def test_diverged_run_counts_every_sanitized_value(monkeypatch):
     monkeypatch.setattr("spinpad.errortrain.inject_tensor", counting)
     result = train_with_errors(
         replace(SPEC, seed=2), DATASET,
-        BufferErrorBinding.uniform(SegmentErrorConfig(exponent_wer=0.5)))
+        every_store(SegmentErrorConfig(exponent_wer=0.5)))
     assert result.diverged
     assert sum(counted) > sum(result.sanitized_per_epoch)
     assert result.total_sanitized == sum(counted)
@@ -436,8 +456,8 @@ def test_monotone_stress_majority():
     wers = (0.0, 1e-3, 1e-2, 1e-1)
     finals = {}
     for wer in wers:
-        binding = (BufferErrorBinding.zero() if wer == 0.0 else
-                   BufferErrorBinding.uniform(SegmentErrorConfig(mantissa_wer=wer)))
+        binding = (BufferErrorBinding() if wer == 0.0 else
+                   every_store(SegmentErrorConfig(mantissa_wer=wer)))
         finals[wer] = [
             train_with_errors(replace(SPEC, seed=s), DATASET, binding).final_accuracy
             for s in seeds
@@ -452,9 +472,9 @@ def test_monotone_stress_majority():
 
 def test_experiment_config_validation():
     with pytest.raises(InvalidParameterError):
-        ExperimentConfig(net=SPEC, binding=BufferErrorBinding.zero(), seeds=())
+        ExperimentConfig(net=SPEC, binding=BufferErrorBinding(), seeds=())
     with pytest.raises(InvalidParameterError):
-        ExperimentConfig(net=SPEC, binding=BufferErrorBinding.zero(), n_train=0)
+        ExperimentConfig(net=SPEC, binding=BufferErrorBinding(), n_train=0)
     for kwargs, name in (({"n_train": 40.5}, "n_train"),
                          ({"n_test": True}, "n_test"),
                          ({"dataset_seed": 7.0}, "dataset_seed"),
@@ -467,7 +487,7 @@ def test_experiment_config_validation():
 
 def test_run_experiment_keyed_by_seed():
     cfg = ExperimentConfig(net=replace(SPEC, epochs=2),
-                           binding=BufferErrorBinding.zero(),
+                           binding=BufferErrorBinding(),
                            seeds=(5, 6), n_train=64, n_test=32)
     results = run_experiment(cfg)
     assert set(results) == {5, 6}

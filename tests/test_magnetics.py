@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (
+    applied_thermal_field,
     axial_chunked_reference,
     axial_switch_time_ns,
     heun_axial,
@@ -46,9 +47,7 @@ from spinpad.magnetics import (
     relative_write_energy,
     required_amplitude,
     run_wer_sweep,
-    sample_thermal_field,
     thermal_field_std_oe,
-    wer_from_psw,
 )
 from spinpad.magnetics import _initial_state, _integrate_batch, _llg_chunk
 
@@ -140,14 +139,14 @@ def test_thermal_field_std_scaling():
 
 
 def test_thermal_field_samples_match_std():
-    dev = default_device()
+    # the field _llg_chunk applies at the sigma _integrate_batch hands it
     rng = derive_stream(123, 0)
-    h = sample_thermal_field(dev, 1.0, rng, n=100_000)
+    h = applied_thermal_field(thermal_field_std_oe(default_device(), 1.0), rng, 100_000)
     assert h.shape == (100_000, 3)
     assert np.std(h) == pytest.approx(SIGMA_1PS_300K_OE, rel=0.02)
     assert abs(np.mean(h)) < 0.02 * SIGMA_1PS_300K_OE
     dev0 = default_device(temperature_k=0.0)
-    assert np.all(sample_thermal_field(dev0, 1.0, rng, n=10) == 0.0)
+    assert np.all(applied_thermal_field(thermal_field_std_oe(dev0, 1.0), rng, 10) == 0.0)
 
 
 @pytest.mark.parametrize("mult,duration_ns,switched,t_ref", RK4_CASES)
@@ -271,18 +270,22 @@ def test_psw_increases_with_amplitude():
     assert p_low < p_high
 
 
+def wer_point(p_switch):
+    return WerPoint(60.0, 20.0, 1000, p_switch)
+
+
 def test_wer_from_psw_identities():
-    assert wer_from_psw(0.0) == 1.0
-    assert wer_from_psw(1.0) == 0.0
+    # a point's WER is exp(ln_wer); log1p and expm1 invert to within an ulp
+    assert math.exp(wer_point(0.0).ln_wer) == 1.0
+    assert math.exp(wer_point(1.0).ln_wer) == 0.0
     rng = np.random.default_rng(5)
     p = rng.random(1000)
-    w = wer_from_psw(p)
-    # both directions are exact in binary floating point for p in [0, 1]
-    assert np.array_equal(1.0 - w, p)
+    ln_wer = np.array([wer_point(q).ln_wer for q in p.tolist()])
+    np.testing.assert_array_max_ulp(-np.expm1(ln_wer), p, maxulp=2)
     with pytest.raises(InvalidParameterError):
-        wer_from_psw(-0.1)
+        wer_point(-0.1)
     with pytest.raises(InvalidParameterError):
-        wer_from_psw(1.1)
+        wer_point(1.1)
 
 
 def test_werpoint_ln_wer():
@@ -610,9 +613,11 @@ def test_load_device_config(tmp_path):
 
 @given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_wer_psw_complement_property(p):
-    w = wer_from_psw(p)
+    ln_wer = wer_point(p).ln_wer
+    w = math.exp(ln_wer)
     assert 0.0 <= w <= 1.0
-    assert w == 1.0 - p
+    assert w == pytest.approx(1.0 - p, rel=1e-14, abs=0.0)
+    assert abs(-math.expm1(ln_wer) - p) <= 2 * math.ulp(p)
 
 
 @given(
