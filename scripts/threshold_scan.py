@@ -17,9 +17,9 @@ def main() -> None:
     ap.add_argument("--lo", type=float, default=20.0, help="bracket low, uA")
     ap.add_argument("--hi", type=float, default=100.0, help="bracket high, uA")
     ap.add_argument("--probes", type=int, default=16,
-                    help="amplitudes integrated per bisection round")
+                    help="amplitudes laid over the bracket per bisection round")
     ap.add_argument("--rounds", type=int, default=2,
-                    help="bisection rounds (cost is probes * rounds runs)")
+                    help="bisection rounds (cost is at most probes * rounds runs)")
     args = ap.parse_args()
 
     device = MtjDevice(temperature_k=0.0)
@@ -28,7 +28,7 @@ def main() -> None:
         device, args.duration, cfg, args.lo, args.hi,
         probes=args.probes, rounds=args.rounds)
     print(f"threshold at {args.duration} ns: {threshold:.3f} uA "
-          f"({args.probes * args.rounds} integrations)")
+          f"(at most {args.probes * args.rounds} integrations)")
     print(f"analytic critical current:       "
           f"{device.critical_current_ua:.3f} uA")
 

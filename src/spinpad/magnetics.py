@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -679,25 +680,29 @@ def find_switching_threshold(device: MtjDevice, duration_ns: float, cfg: MagSimC
                              rounds: int = 2) -> float:
     """Deterministic (T = 0) switching boundary in amplitude.
 
-    Batched bisection: each round integrates `probes` amplitudes at once
-    and narrows the bracket to the first switching interval, so the whole
-    search costs probes * rounds integrations.  The device must be at
-    T = 0; lo must not switch and hi must switch.
+    Batched bisection: a round lays `probes` amplitudes over the bracket and
+    keeps the interval up to the first that switches.  It integrates hi, lo,
+    then the interior upward to that probe, each amplitude once a search, so
+    at most probes * rounds integrations.  T = 0; lo must not switch, hi must.
     """
     if device.temperature_k != 0:
         raise InvalidParameterError("threshold search requires temperature_k == 0")
-    if not 0 <= lo_ua < hi_ua:
-        raise InvalidParameterError("need 0 <= lo_ua < hi_ua")
+    if not (math.isfinite(duration_ns) and duration_ns > 0):
+        raise InvalidParameterError(f"need finite duration_ns > 0, got {duration_ns}")
+    if not (math.isfinite(hi_ua) and 0 <= lo_ua < hi_ua):
+        raise InvalidParameterError(f"need finite 0 <= lo_ua < hi_ua, got {lo_ua}, {hi_ua}")
     check_int("probes", probes)
     check_int("rounds", rounds)
     if probes < 3 or rounds < 1:  # two probes are the bracket and narrow nothing
         raise InvalidParameterError(f"need probes >= 3 and rounds >= 1, got {probes}, {rounds}")
+    # one memo a search; linspace keeps lo and hi exactly, so later ends are hits
+    switches = functools.cache(lambda amp: bool(
+        _integrate_batch(device, np.array([amp]), duration_ns, cfg, None)[0][0]))
     for _ in range(rounds):
-        grid = np.linspace(lo_ua, hi_ua, probes)
-        switched, _ = _integrate_batch(device, grid, duration_ns, cfg, None)
-        if switched[0] or not switched[-1]:
+        grid = np.linspace(lo_ua, hi_ua, probes).tolist()
+        if not switches(grid[-1]) or switches(grid[0]):
             raise InvalidParameterError(
                 f"bracket [{lo_ua}, {hi_ua}] uA does not straddle the threshold")
-        first = int(np.argmax(switched))
-        lo_ua, hi_ua = float(grid[first - 1]), float(grid[first])
+        first = next(i for i in range(1, probes) if switches(grid[i]))
+        lo_ua, hi_ua = grid[first - 1], grid[first]
     return 0.5 * (lo_ua + hi_ua)

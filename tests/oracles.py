@@ -172,6 +172,24 @@ def axial_chunked_reference(device, amplitudes_ua, duration_ns, cfg):
     return switched, times
 
 
+def threshold_all_probes(device, duration_ns, cfg, lo_ua, hi_ua, probes=16, rounds=2):
+    """spinpad.magnetics.find_switching_threshold integrating every probe.
+
+    Each round integrates all `probes` amplitudes of the bracket as one
+    batch and keeps the interval that ends at argmax(switched), the first
+    probe that switches; nothing is skipped or remembered between rounds.
+    """
+    for _ in range(rounds):
+        grid = np.linspace(lo_ua, hi_ua, probes)
+        switched, _ = _integrate_batch(device, grid, duration_ns, cfg, None)
+        if switched[0] or not switched[-1]:
+            raise InvalidParameterError(
+                f"bracket [{lo_ua}, {hi_ua}] uA does not straddle the threshold")
+        first = int(np.argmax(switched))
+        lo_ua, hi_ua = float(grid[first - 1]), float(grid[first])
+    return 0.5 * (lo_ua + hi_ua)
+
+
 @dataclass(frozen=True)
 class SwitchingResult:
     switched: bool

@@ -20,6 +20,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import applied_thermal_field, brute_force_gemm_counts, gradient_check
 
+from spinpad import magnetics
 from spinpad.arraymodel import (
     CalibrationTable,
     MemoryTechnology,
@@ -123,15 +124,17 @@ def test_02_thermal_field_std():
 # --- 3: deterministic switching threshold
 
 
-def test_03_switching_threshold():
+def test_03_switching_threshold(monkeypatch):
     with check(3, 30, "T=0 long-pulse threshold within 5% of the critical "
                       "current in <= 50 integrations"):
         device = MtjDevice(temperature_k=0.0)
         cfg = MagSimConfig(time_step_ps=1.0, seed=5)
-        probes, rounds = 16, 2
-        assert probes * rounds <= 50
+        integrations, step = [], magnetics._axial_switch_step
+        monkeypatch.setattr(magnetics, "_axial_switch_step",
+                            lambda *args: integrations.append(args) or step(*args))
         threshold = find_switching_threshold(device, 200.0, cfg, 20.0, 100.0,
-                                             probes=probes, rounds=rounds)
+                                             probes=16, rounds=2)
+        assert len(integrations) <= 50
         i_c0 = device.critical_current_ua
         assert abs(threshold - i_c0) / i_c0 < 0.05
 

@@ -18,8 +18,10 @@ from oracles import (
     heun_axial,
     heun_llg_reference,
     integrate_llg,
+    threshold_all_probes,
 )
 
+from spinpad import magnetics
 from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import (
     ConfigError,
@@ -559,6 +561,14 @@ def test_integrate_batch_rejects_streams_that_do_not_split_the_rows(streams):
                          rngs)
 
 
+def count_integrations(monkeypatch):
+    """Record the drive aj of every T = 0 amplitude integrated from now on."""
+    drives, step = [], magnetics._axial_switch_step
+    monkeypatch.setattr(magnetics, "_axial_switch_step",
+                        lambda *args: drives.append(args[4]) or step(*args))
+    return drives
+
+
 def test_find_switching_threshold_requires_zero_temp():
     dev = default_device()
     with pytest.raises(InvalidParameterError):
@@ -573,11 +583,55 @@ def test_find_switching_threshold_requires_zero_temp():
     ({"probes": 2}, InvalidParameterError, "probes >= 3"),
     ({"probes": 16.0}, ConfigError, "probes must be an integer"),
     ({"rounds": 2.0}, ConfigError, "rounds must be an integer"),
+    ({"duration_ns": -5.0}, InvalidParameterError, "finite duration_ns > 0"),
+    ({"duration_ns": 0.0}, InvalidParameterError, "finite duration_ns > 0"),
+    ({"duration_ns": math.nan}, InvalidParameterError, "finite duration_ns > 0"),
+    ({"duration_ns": math.inf}, InvalidParameterError, "finite duration_ns > 0"),
+    ({"hi_ua": math.inf}, InvalidParameterError, "finite 0 <= lo_ua < hi_ua"),
+    ({"hi_ua": math.nan}, InvalidParameterError, "finite 0 <= lo_ua < hi_ua"),
+    ({"lo_ua": math.nan}, InvalidParameterError, "finite 0 <= lo_ua < hi_ua"),
+    ({"lo_ua": -math.inf}, InvalidParameterError, "finite 0 <= lo_ua < hi_ua"),
+    ({"lo_ua": 100.0, "hi_ua": 20.0}, InvalidParameterError, "finite 0 <= lo_ua < hi_ua"),
 ])
-def test_find_switching_threshold_rejects_searches_that_cannot_run(kw, error, match):
+def test_find_switching_threshold_rejects_searches_that_cannot_run(monkeypatch, kw, error, match):
     dev = default_device(temperature_k=0.0)
+    drives = count_integrations(monkeypatch)
+    args = {"duration_ns": 20.0, "lo_ua": 20.0, "hi_ua": 100.0, **kw}
     with pytest.raises(error, match=match):
-        find_switching_threshold(dev, 20.0, MagSimConfig(seed=1), 20.0, 100.0, **kw)
+        find_switching_threshold(dev, cfg=MagSimConfig(seed=1), **args)
+    assert drives == []
+
+
+# integrations: 2 ends, then per round the interior probes up to the first switch
+@pytest.mark.parametrize("duration_ns,lo,hi,probes,rounds,integrations", [
+    (20.0, 20.0, 100.0, 16, 2, 15),  # the mc-cold benchmark case
+    (200.0, 20.0, 100.0, 16, 2, 13),  # acceptance check 3
+    (5.0, 20.0, 400.0, 16, 2, 12),
+    (10.0, 20.0, 200.0, 7, 3, 8),
+    (20.0, 20.0, 100.0, 3, 4, 6),
+])
+def test_find_switching_threshold_matches_all_probes_oracle(monkeypatch, duration_ns, lo, hi,
+                                                            probes, rounds, integrations):
+    dev = default_device(temperature_k=0.0)
+    cfg = MagSimConfig(time_step_ps=1.0, seed=5)
+    expected = threshold_all_probes(dev, duration_ns, cfg, lo, hi, probes, rounds)
+    drives = count_integrations(monkeypatch)
+    assert find_switching_threshold(dev, duration_ns, cfg, lo, hi, probes=probes,
+                                    rounds=rounds) == expected
+    assert len(set(drives)) == len(drives) == integrations
+
+
+@pytest.mark.parametrize("lo,hi,integrations", [
+    (20.0, 40.0, 1),  # hi does not switch
+    (80.0, 100.0, 2),  # hi switches, and so does lo
+])
+def test_find_switching_threshold_rejects_a_bracket_that_does_not_straddle(monkeypatch, lo, hi,
+                                                                          integrations):
+    dev = default_device(temperature_k=0.0)
+    drives = count_integrations(monkeypatch)
+    with pytest.raises(InvalidParameterError, match="does not straddle"):
+        find_switching_threshold(dev, 20.0, MagSimConfig(time_step_ps=1.0), lo, hi)
+    assert len(drives) == integrations
 
 
 def test_load_device_config(tmp_path):
