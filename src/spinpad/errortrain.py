@@ -21,11 +21,12 @@ of (network spec, dataset, binding, seed) regardless of execution order.
 The keys of one epoch's write events are derived as one table
 (magnetics.derive_streams). Each write event draws one uniform per element
 and bit at risk, bit by bit in the order sign, exponent bits 23..30,
-mantissa bits 0..span-1. The uniforms of k consecutive bits come from one
-draw of k * size words, which consumes the stream exactly as k draws of the
-tensor's shape do, with k = max(1, _DRAW_CAP // tensor size): a training
-tensor takes one draw per write event, and a tensor of _DRAW_CAP elements
-or more one draw per bit.
+mantissa bits 0..span-1. A draw covers k consecutive bits of one segment,
+k * size words, which consumes the stream exactly as k draws of the tensor's
+shape do, with k = max(1, _DRAW_CAP // tensor size) or fewer at the end of
+the segment: a training tensor takes one draw per segment at risk and write
+event, and a tensor of _DRAW_CAP elements or more one draw per bit. All the
+bits of one draw share the segment's rate, so one scalar limit tests them.
 
 A bit flips when its uniform u is below the segment's rate p. Philox's
 random() makes u = (w >> 11) * 2**-53 from one raw 64-bit word w, and
@@ -111,38 +112,34 @@ class InjectionStats:
 
 
 @functools.lru_cache(maxsize=64)
-def _bit_plan(cfg: SegmentErrorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Bit values and raw-word hit limits of the bits at risk, in draw order."""
-    bits: list[int] = []
-    limits: list[int] = []
+def _bit_plan(cfg: SegmentErrorConfig) -> tuple[tuple[np.ndarray, np.uint64], ...]:
+    """(bit values, raw-word hit limit) of each segment at risk, in draw order."""
+    plan = []
     for p, segment in ((cfg.sign_wer, (SIGN_BIT,)),
                        (cfg.exponent_wer, EXPONENT_BITS),
                        (cfg.mantissa_wer, range(cfg.affected_mantissa_bits))):
         if p > 0.0:  # random() < p  <=>  word < ceil(p * 2**53) * 2**11
-            bits.extend(1 << bit for bit in segment)
-            limits.extend([(math.ceil(p * 2.0 ** 53) << 11) - 1] * len(segment))
-    plan = np.array(bits, dtype=np.uint32), np.array(limits, dtype=np.uint64)[:, None]
-    for column in plan:  # the cache hands the same arrays to every caller
-        column.flags.writeable = False
-    return plan
+            bits = np.array([1 << bit for bit in segment], dtype=np.uint32)
+            bits.flags.writeable = False  # the cache hands it to every caller
+            plan.append((bits, np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)))
+    return tuple(plan)
 
 
 def _flip_mask(shape: tuple[int, ...], cfg: SegmentErrorConfig,
                rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Per-element uint32 XOR mask and flip count, drawn in blocks of bits."""
-    bits, limits = _bit_plan(cfg)
     n = math.prod(shape)
     block = max(1, _DRAW_CAP // max(1, n))
     mask = np.zeros(n, dtype=np.uint32)
     flips = 0
-    for lo in range(0, len(bits), block):
-        rows = limits[lo:lo + block]
-        words = rng.bit_generator.random_raw(len(rows) * n).reshape(len(rows), n)
-        hits = np.flatnonzero(words <= rows)  # 2-D nonzero() is several times slower
-        if hits.size:
-            row, col = np.divmod(hits, n)
-            np.bitwise_or.at(mask, col, bits[lo + row])
-            flips += hits.size
+    for bits, limit in _bit_plan(cfg):
+        for lo in range(0, len(bits), block):
+            run = bits[lo:lo + block]
+            hits = np.flatnonzero(rng.bit_generator.random_raw(len(run) * n) <= limit)
+            if hits.size:
+                row, col = np.divmod(hits, n)
+                np.bitwise_or.at(mask, col, run[row])
+                flips += hits.size
     return mask.reshape(shape), flips
 
 

@@ -601,21 +601,25 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
 
     Each grid point gets a private stream derived from (cfg.seed, point
     index), points in duration-major order.  The points of one duration
-    are split into min(workers, amplitudes) interleaved groups, and each
-    group is integrated as one batch in one task, on min(workers, tasks)
-    processes (this one alone when that is 1).  A point's estimate
-    depends only on its own stream, so the result is identical however
-    the points are grouped and however many workers run.
+    are split into min(workers, amplitudes) contiguous blocks in amplitude
+    order, sized as an even split with the larger blocks at the high end,
+    where rows switch sooner and a point costs less.  Each block is
+    integrated as one batch in one task, on min(workers, tasks) processes
+    (this one alone when that is 1).  A point's estimate depends only on
+    its own stream, so the result is identical however the points are
+    grouped and however many workers run.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     amps = [float(a) for a in amplitudes_ua]
     groups = min(workers, len(amps))
+    q, r = divmod(len(amps), max(groups, 1))  # the last r blocks take q + 1
+    cuts = [g * q + max(0, g - groups + r) for g in range(groups + 1)]
+    order = sorted(range(len(amps)), key=amps.__getitem__)
     tasks = []
     for di, d in enumerate(durations_ns):
-        keyed = [(di * len(amps) + ai, WritePulse(a, float(d)))
-                 for ai, a in enumerate(amps)]
-        tasks += [(device, cfg, keyed[g::groups]) for g in range(groups)]
+        keyed = [(di * len(amps) + ai, WritePulse(amps[ai], float(d))) for ai in order]
+        tasks += [(device, cfg, keyed[a:b]) for a, b in zip(cuts, cuts[1:])]
     pool_size = min(workers, len(tasks))  # a pool forks all its workers at its first task
     if pool_size > 1:
         with concurrent.futures.ProcessPoolExecutor(pool_size) as pool:

@@ -421,13 +421,21 @@ def test_wer_sweep_matches_per_point_streams():
     (8, [180.0, 220.0, 260.0], [0.02], [3]),  # three tasks
     (8, [220.0], [0.02], []),  # one task runs here, with no pool
     (2, [180.0, 220.0, 260.0], [0.02, 0.03], [2]),  # four tasks on two workers
+    (2, [50.0, 56.0, 62.0, 68.0, 74.0], [0.02], [2]),  # {50, 56} | {62, 68, 74}
+    (2, [260.0, 180.0, 240.0, 220.0, 200.0], [0.02], [2]),  # unsorted config order
+    (3, [220.0, 180.0, 220.0, 180.0, 260.0], [0.02], [3]),  # duplicate amplitudes
+    (4, [260.0, 180.0, 220.0], [0.02], [3]),  # more workers than amplitudes
+    (4, [180.0, 190.0, 200.0, 210.0, 220.0, 230.0], [0.02], [4]),  # blocks 1, 1, 2, 2
+    (2, [], [0.02], []),  # no amplitudes: no task and an empty curve
 ])
 def test_wer_sweep_pool_sized_to_its_tasks(monkeypatch, workers, amps, durations,
                                            pool_sizes):
     sizes = []
+    tasks_run = []
 
     class RecordingPool:
-        """Records the pool size asked for and runs the tasks in this process."""
+        """Records the pool size asked for and the amplitudes of each task,
+        and runs the tasks in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -439,7 +447,10 @@ def test_wer_sweep_pool_sized_to_its_tasks(monkeypatch, workers, amps, durations
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            for task in tasks:
+                done = fn(task)
+                tasks_run.append([p.amplitude_ua for _, p in done])
+                yield done
 
     cfg = MagSimConfig(trials=2, seed=9, relax_time_ns=0.0)
     serial = run_wer_sweep(default_device(), amps, durations, cfg)
@@ -447,6 +458,18 @@ def test_wer_sweep_pool_sized_to_its_tasks(monkeypatch, workers, amps, durations
     pooled = run_wer_sweep(default_device(), amps, durations, cfg, workers=workers)
     assert sizes == pool_sizes
     assert pooled.points == serial.points
+    assert len(pooled.points) == len(amps) * len(durations)
+    if not sizes:  # the tasks ran here, with no pool to record them
+        return
+    # each duration's points in min(workers, amplitudes) contiguous amplitude
+    # blocks whose sizes differ by at most one, the larger at the high end
+    groups = min(workers, len(amps))
+    assert len(tasks_run) == groups * len(durations)
+    for d in range(len(durations)):
+        blocks = tasks_run[d * groups:(d + 1) * groups]
+        assert sum(blocks, []) == sorted(amps)
+        lengths = [len(b) for b in blocks]
+        assert lengths == sorted(lengths) and lengths[-1] - lengths[0] <= 1
 
 
 def test_wer_sweep_pinned_p_switch():
