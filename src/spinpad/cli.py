@@ -16,9 +16,11 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -69,9 +71,25 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    kind = type(value)
+    if kind is int or kind is float and value - value == 0.0:  # inf - inf is nan
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)  # str, bool, None, inf, nan, subclasses, {} and []
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    doc = {"manifest": "manifest.json", **payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n": any indent
+    runs the stdlib's pure-Python encoder, 40% of a VGG-16 system-compare sweep."""
+    path.write_text(_json_text({"manifest": "manifest.json", **payload}) + "\n")
 
 
 def _fmt(value) -> str:
@@ -103,20 +121,23 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     """Either 'a,b,c' or an arange-style 'start:stop:step' (stop exclusive)."""
     try:
         if ":" in text:
-            start, stop, step = (float(t) for t in text.split(":"))
-            if step <= 0:
-                raise ConfigError(f"{flag}: step must be positive")
-            values, i = [], 0
-            while (v := start + i * step) < stop:
-                values.append(v)
-                i += 1
+            start, stop, step = numbers = [float(t) for t in text.split(":")]
         else:
-            values = [float(t) for t in text.split(",") if t.strip()]
+            numbers = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: cannot parse {text!r}") from None
-    if not values:
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{flag}: non-finite value in {text!r}")
+    if ":" in text:
+        if step <= 0:
+            raise ConfigError(f"{flag}: step must be positive")
+        numbers, i = [], 0
+        while (v := start + i * step) < stop:
+            numbers.append(v)
+            i += 1
+    if not numbers:
         raise ConfigError(f"{flag}: empty value list {text!r}")
-    return values
+    return numbers
 
 
 def _tech_from_spec(spec, where: str) -> MemoryTechnology:
@@ -403,12 +424,7 @@ def _exec_hetero_write(cfg: _HeteroWrite, out: Path) -> list[str]:
                 "improvement"],
                [[bits, _fmt(res.word_energy_factor), _fmt(res.per_word_energy_pj),
                  _fmt(res.improvement)] for bits, res in enumerate(sweep)])
-    _write_json(out / "hetero.json", {
-        "mantissa_bits": cfg.mantissa_bits,
-        "word_energy_factor": chosen.word_energy_factor,
-        "per_word_energy_pj": chosen.per_word_energy_pj,
-        "improvement": chosen.improvement,
-    })
+    _write_json(out / "hetero.json", {"mantissa_bits": cfg.mantissa_bits, **asdict(chosen)})
     return ["hetero.csv", "hetero.json"]
 
 
@@ -506,8 +522,7 @@ def _write_manifest(out: Path, command: str, cfg, outputs: list[str]) -> None:
         "outputs": outputs,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(_json_text(manifest) + "\n")
 
 
 def _run_command(command: str, cfg, out: Path) -> int:

@@ -159,10 +159,10 @@ class WritePulse:
     duration_ns: float
 
     def __post_init__(self):
-        if self.amplitude_ua < 0:
-            raise InvalidParameterError("pulse amplitude must be >= 0 uA")
-        if self.duration_ns <= 0:
-            raise InvalidParameterError("pulse duration must be > 0 ns")
+        if not 0 <= self.amplitude_ua < math.inf:
+            raise InvalidParameterError("pulse amplitude must be finite and >= 0 uA")
+        if not 0 < self.duration_ns < math.inf:
+            raise InvalidParameterError("pulse duration must be finite and > 0 ns")
 
 
 @dataclass(frozen=True)

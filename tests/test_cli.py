@@ -6,10 +6,13 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpad.arraymodel import CalibrationTable, MemoryTechnology, metrics_at_capacity
-from spinpad.cli import _COMMANDS, _parse_float_list, build_parser, main
+from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
 from spinpad.errors import ConfigError
 from spinpad.errortrain import TinyNetSpec, make_moons_dataset, train_reference
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
@@ -41,9 +44,22 @@ def read_manifest(out_dir):
         return json.load(fh)
 
 
+def assert_stdlib_json_format(out_dir):
+    """Every JSON file the run wrote, manifest.json included, reads as the
+    stdlib's indent=2, sort_keys=True spelling of its own content."""
+    names = sorted(p.name for p in out_dir.glob("*.json"))
+    assert "manifest.json" in names
+    for name in names:
+        text = (out_dir / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
 def assert_rerun_identical(out_dir, tmp_path):
+    """rerun rewrites every data file byte for byte; both runs pass the JSON format guard."""
+    assert_stdlib_json_format(out_dir)
     replay = tmp_path / "replay"
     assert run_cli("rerun", str(out_dir / "manifest.json"), "--out", str(replay)) == 0
+    assert_stdlib_json_format(replay)
     manifest = read_manifest(out_dir)
     for name in manifest["outputs"]:
         assert filecmp.cmp(out_dir / name, replay / name, shallow=False), name
@@ -69,6 +85,63 @@ def test_parse_colon_range_excludes_stop():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
         _parse_float_list(text, "--x")
+
+
+@pytest.mark.parametrize("text", ["50:inf:1", "-inf:50:1", "50:80:inf", "nan:80:6",
+                                  "50:nan:6", "50:80:nan", "nan,50", "50,inf", "-inf"])
+def test_parse_rejects_non_finite(text):
+    with pytest.raises(ConfigError, match="non-finite"):
+        _parse_float_list(text, "--x")
+
+
+def test_parse_step_error_names_the_step():
+    with pytest.raises(ConfigError, match="step must be positive"):
+        _parse_float_list("1:9:0", "--x")
+
+
+@pytest.mark.parametrize("argv", [
+    ("wer-sweep", "--amplitudes", "50:inf:1"),
+    ("wer-sweep", "--amplitudes", "nan,50"),
+    ("wer-sweep", "--durations", "inf"),
+    ("wer-sweep", "--durations", "0.5:nan:1"),
+    ("system-compare", "--sweep", "32.0,nan"),
+    ("system-compare", "--sweep", "32:inf:1"),
+])
+def test_non_finite_grid_exits_one_and_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ JSON writer
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0 and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=False).map(np.float64))
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t/')))
+_JSON_LEAVES = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(), _JSON_FLOATS)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=30)
+
+
+@given(doc=_JSON_DOCS)
+@settings(max_examples=300)
+def test_json_writer_matches_stdlib_indent_bytes(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_stdlib_on_edge_values():
+    doc = {"z": [], "a": {}, "e\u00e9\"\\": (1, -0.0, 5e-324, 1e16, np.float64(1e-5)),
+           "n": [float("nan"), float("inf"), -float("inf"), None, True, False, [[], {}]],
+           "\x00": {"b": {"c": 10 ** 30}}}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------ exit codes
@@ -428,6 +501,20 @@ def test_hetero_write_flag_overrides_bits(tmp_path):
     assert doc["mantissa_bits"] == 16
     expected = (1.0 + 15.0 * 1.0 + 16.0 * 0.40) / 32.0
     assert doc["word_energy_factor"] == pytest.approx(expected)
+
+
+# sha256 of (hetero.csv, hetero.json) of configs/hetero_write.json
+PINNED_HETERO_WRITE = ("39b005e1d158cc528f28725a571b99a33b013ddb31c306843354f78695720f1d",
+                       "1b19612c77333003bc66897f7ea5f7a886d142a43b2079feebdabd38f51de7ef")
+
+
+def test_bundled_hetero_write_outputs_pinned(tmp_path):
+    out = tmp_path / "o"
+    cfg = CONFIGS / "hetero_write.json"
+    assert run_cli("hetero-write", "--config", str(cfg), "--out", str(out)) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("hetero.csv", "hetero.json"))
+    assert digests == PINNED_HETERO_WRITE
 
 
 def test_hetero_write_rerun_byte_identical(tmp_path):

@@ -104,6 +104,9 @@ def test_pulse_and_config_validation():
         WritePulse(-1.0, 10.0)
     with pytest.raises(InvalidParameterError):
         WritePulse(10.0, 0.0)
+    for amp, dur in ((math.nan, 10.0), (math.inf, 10.0), (10.0, math.nan), (10.0, math.inf)):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            WritePulse(amp, dur)
     with pytest.raises(InvalidParameterError):
         MagSimConfig(time_step_ps=0.0)
     with pytest.raises(InvalidParameterError):
