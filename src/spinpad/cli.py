@@ -44,8 +44,8 @@ from .energy import (
     compare_iso_capacity,
     hetero_write_energy,
 )
-from .errors import (ConfigError, InvalidParameterError, SpinpadError, check_int,
-                     config_from)
+from .errors import (FINITE, ConfigError, InvalidParameterError, SpinpadError, check_int,
+                     check_range, config_from)
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -313,6 +313,8 @@ class _SystemCompare:
 
     def __post_init__(self) -> None:
         self.sweep = tuple(map(float, self.sweep))
+        for value in self.sweep:
+            check_range("sweep", value, FINITE)
         if self.mode not in ("iso-capacity", "iso-area"):
             raise InvalidParameterError(
                 f"mode must be iso-capacity or iso-area, got {self.mode!r}")

@@ -11,15 +11,22 @@ BACKWARD_WEIGHT_GRAD (all GEMMs), then an element-wise WEIGHT_UPDATE pass
 (2 reads + 1 write per weight, vector path, zero systolic cycles).
 
 On-chip residency follows a FIFO scratchpad model. A tensor is placed in its
-home buffer exactly once, when it first materializes; placement evicts older
-tensors (arrival order during forward; during backward, forward-era tensors
-newest-first, then backward-era tensors oldest-first, which tracks liveness)
-and never writes anything back. A tensor loaded from DRAM charges one DRAM
-read per element when placed; a tensor that does not fit stays in DRAM and
-every streamed access goes there instead. Weight gradients live in the error
+home buffer exactly once, when it first materializes; placement evicts the
+buffer's oldest tensors first and never writes anything back. Forward places
+tensors only in the activation and weight buffers and backward only in the
+error buffer, so no buffer holds tensors of both passes. A tensor loaded
+from DRAM charges one DRAM read per element when placed; a tensor that does
+not fit stays in DRAM and every streamed access goes there instead. Weight gradients live in the error
 buffer; the loss gradient at the top of the network materializes in place,
 free of charge. Under this policy DRAM traffic can rise with capacity between
 nearby points: a tensor that newly fits can push out one that is read later.
+
+A trace is built in two steps. The schedule, built once per (workload,
+rows, cols), holds each tensor's home buffer and size, every placement and
+access in order with its GEMM counts, and the compute per phase. Each
+tensor's accesses are in schedule order, so its last read is known before
+any capacity is. The replay, run per capacity, makes only the FIFO placement
+decisions and counts each access under its tensor's buffer or DRAM.
 
 Every placement compares a tensor's bytes with its buffer's capacity, so a
 trace also carries, per store, the byte range [lo, hi) of capacities over
@@ -39,8 +46,8 @@ from functools import lru_cache
 from math import inf
 from pathlib import Path
 
-from .errors import (ConfigError, InvalidLayerError, InvalidParameterError,
-                     NotAGemmError, check_int)
+from .errors import (POSITIVE, ConfigError, InvalidLayerError, InvalidParameterError,
+                     NotAGemmError, check_int, check_range)
 
 
 class Phase(str, Enum):
@@ -107,11 +114,10 @@ class AcceleratorConfig:
     def __post_init__(self) -> None:
         for name in ("rows", "cols", "element_size_bytes"):
             check_int(name, getattr(self, name))
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidParameterError("array dimensions must be >= 1")
+        check_range("rows", self.rows, 1)
+        check_range("cols", self.cols, 1)
         for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
+            check_range(name, getattr(self, name), POSITIVE)
         if self.element_size_bytes != 4:
             raise InvalidParameterError("element size is fixed at 4 bytes (binary32)")
 
@@ -207,22 +213,18 @@ def count_phase_accesses(shape: GemmShape, cfg: AcceleratorConfig) -> PhaseCount
     return PhaseCounts(tiles, row_reads, col_reads, result_writes, m * k * n, cycles)
 
 
-# Operand routing per GEMM phase: (row-port store, col-port store, result store)
-_PHASE_STORES = {
-    Phase.FORWARD: (Store.ACTIVATION, Store.WEIGHT, Store.ACTIVATION),
-    Phase.BACKWARD_INPUT_GRAD: (Store.ERROR, Store.WEIGHT, Store.ERROR),
-    Phase.BACKWARD_WEIGHT_GRAD: (Store.ERROR, Store.ACTIVATION, Store.ERROR),
-}
-
-
 @dataclass
 class AccessTrace:
-    """Read/write counts per (layer, phase, store) plus compute totals.
+    """Read/write counts of one training iteration, plus compute totals.
 
-    `accesses` and `compute` are the per-key record, which only
-    tests/oracles.py reads. Only `add` and `set_compute` fill them; they also
-    keep the totals per (phase, store) and per phase that every getter looks
-    up. The benchmark reads `dram_elements()` and `total_cycles()`.
+    `totals[(phase, store)]` is [reads, writes] and `phase_compute[phase]` is
+    (macs, cycles); the getters and the energy model read only these.
+    `accesses[(layer, phase, store)]` and `compute[(layer, phase)]` hold the
+    same counts per layer, the record tests compare with the reference model
+    in tests/oracles.py. The replay of the schedule fills `totals` and
+    `accesses` in schedule order, so each tensor's accesses, and its last
+    read, come in a known order; `compute` and `phase_compute` are copies of
+    the schedule's. The benchmark reads `dram_elements()` and `total_cycles()`.
 
     `capacity_range[store]` is the byte range [lo, hi) of that buffer's
     capacity over which every placement decision of simulate_iteration comes
@@ -231,182 +233,167 @@ class AccessTrace:
     workload, rows and cols, equals this one record for record.
     """
 
-    accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict, init=False)
-    compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict, init=False)
-    _totals: dict[tuple[Phase, Store], list[int]] = field(default_factory=dict, init=False)
-    _phase_compute: dict[Phase, list[int]] = field(default_factory=dict, init=False)
-    capacity_range: dict[Store, list[int | float]] = field(default_factory=dict, init=False)
+    totals: dict[tuple[Phase, Store], list[int]] = field(default_factory=dict)
+    phase_compute: dict[Phase, tuple[int, int]] = field(default_factory=dict)
+    accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict)
+    compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict)
+    capacity_range: dict[Store, list[int | float]] = field(default_factory=dict)
 
-    def add(self, layer: int, phase: Phase, store: Store,
-            reads: int = 0, writes: int = 0) -> None:
-        cell = self.accesses.setdefault((layer, phase, store), [0, 0])
-        cell[0] += reads
-        cell[1] += writes
-        total = self._totals.setdefault((phase, store), [0, 0])
-        total[0] += reads
-        total[1] += writes
-
-    def set_compute(self, layer: int, phase: Phase, macs: int, cycles: int) -> None:
-        old_macs, old_cycles = self.compute.get((layer, phase), (0, 0))
-        self.compute[(layer, phase)] = (macs, cycles)
-        total = self._phase_compute.setdefault(phase, [0, 0])
-        total[0] += macs - old_macs
-        total[1] += cycles - old_cycles
-
-    def reads(self, store: Store) -> int:
-        return sum(self.phase_reads(phase, store) for phase in Phase)
-
-    def writes(self, store: Store) -> int:
-        return sum(self.phase_writes(phase, store) for phase in Phase)
+    def __post_init__(self) -> None:
+        self._dram = sum(self.phase_reads(phase, Store.DRAM)
+                         + self.phase_writes(phase, Store.DRAM) for phase in Phase)
 
     def dram_elements(self) -> int:
-        return self.reads(Store.DRAM) + self.writes(Store.DRAM)
+        return self._dram
 
     def total_cycles(self) -> int:
         return sum(self.phase_cycles(phase) for phase in Phase)
 
     def phase_macs(self, phase: Phase) -> int:
-        return self._phase_compute.get(phase, (0, 0))[0]
+        return self.phase_compute.get(phase, (0, 0))[0]
 
     def phase_cycles(self, phase: Phase) -> int:
-        return self._phase_compute.get(phase, (0, 0))[1]
+        return self.phase_compute.get(phase, (0, 0))[1]
 
     def phase_reads(self, phase: Phase, store: Store) -> int:
-        return self._totals.get((phase, store), (0, 0))[0]
+        return self.totals.get((phase, store), (0, 0))[0]
 
     def phase_writes(self, phase: Phase, store: Store) -> int:
-        return self._totals.get((phase, store), (0, 0))[1]
+        return self.totals.get((phase, store), (0, 0))[1]
 
 
-@dataclass
-class _Tensor:
-    name: str
-    home: Store
-    elements: int
-    resident: bool = False
-    era: int = 0  # 0 = placed during forward, 1 = during backward
-    seq: int = -1  # arrival order
-
-    def bytes(self, cfg: AcceleratorConfig) -> int:
-        return self.elements * cfg.element_size_bytes
-
-    def location(self) -> Store:
-        return self.home if self.resident else Store.DRAM
+_BUFFERS = (Store.ACTIVATION, Store.WEIGHT, Store.ERROR)
+_PLACE, _ACCESS = range(2)  # schedule event kinds
 
 
-class _Buffers:
-    """FIFO scratchpad state for the three on-chip buffers."""
+@lru_cache(maxsize=64)
+def _schedule(workload: tuple[LayerSpec, ...], rows: int, cols: int, element_bytes: int):
+    """Everything about one iteration that no buffer capacity changes.
 
-    def __init__(self, cfg: AcceleratorConfig):
-        self.cfg = cfg
-        self.resident: dict[Store, list[_Tensor]] = {
-            Store.ACTIVATION: [], Store.WEIGHT: [], Store.ERROR: []
-        }
-        self.capacity = {store: cfg.buffer_bytes(store) for store in self.resident}
-        self.used = dict.fromkeys(self.resident, 0)  # bytes of resident[store]
-        self.bounds = {store: [0, inf] for store in self.resident}  # [lo, hi), see place
-        self.backward = False
-        self._seq = 0
+    Returns (sizes, homes, events, compute, phase_compute). Tensor t has
+    sizes[t] bytes and lives in buffer homes[t], an index into _BUFFERS.
+    `events` is the iteration in order:
+      (_PLACE, t, elements, loaded): place t; if t is loaded from DRAM, a
+        placement charges `elements` DRAM reads under loaded, as below (the
+        buffer's fill writes are not metered);
+      (_ACCESS, t, reads, writes, on_chip, in_dram): one stream of a GEMM or
+        of the weight update, counted under on_chip = ((layer, phase, home),
+        (phase, home)) while t is resident, else under in_dram.
+    """
+    array = AcceleratorConfig(rows=rows, cols=cols)
+    homes, elements, events, compute = [], [], [], {}
 
-    def _evict_one(self, store: Store) -> None:
-        pool = self.resident[store]
-        if not self.backward:
-            victim = min(pool, key=lambda t: t.seq)  # oldest first
-        else:
-            fwd_era = [t for t in pool if t.era == 0]
-            if fwd_era:
-                victim = max(fwd_era, key=lambda t: t.seq)  # deepest layer first
-            else:
-                victim = min(pool, key=lambda t: t.seq)
-        pool.remove(victim)
-        victim.resident = False
-        self.used[store] -= victim.bytes(self.cfg)
+    def tensor(store: Store, n: int) -> int:
+        homes.append(_BUFFERS.index(store))
+        elements.append(n)
+        return len(homes) - 1
 
-    def place(self, tensor: _Tensor) -> bool:
-        """Try to make a tensor resident in its home buffer; True if placed."""
-        store = tensor.home
-        size = tensor.bytes(self.cfg)
-        bound = self.bounds[store]
-        if size > self.capacity[store]:
-            bound[1] = min(bound[1], size)
-            return False
-        while self.capacity[store] - self.used[store] < size:
-            bound[1] = min(bound[1], self.used[store] + size)
-            self._evict_one(store)
-        bound[0] = max(bound[0], self.used[store] + size)
-        tensor.resident = True
-        tensor.era = 1 if self.backward else 0
-        tensor.seq = self._seq
-        self._seq += 1
-        self.resident[store].append(tensor)
-        self.used[store] += size
-        return True
+    def place(t: int, layer: int | None = None, phase: Phase | None = None) -> None:
+        loaded = None if layer is None else ((layer, phase, Store.DRAM), (phase, Store.DRAM))
+        events.append((_PLACE, t, elements[t], loaded))
 
+    def access(t: int, layer: int, phase: Phase, reads: int, writes: int) -> None:
+        home = _BUFFERS[homes[t]]
+        events.append((_ACCESS, t, reads, writes, ((layer, phase, home), (phase, home)),
+                       ((layer, phase, Store.DRAM), (phase, Store.DRAM))))
 
-@lru_cache(maxsize=4096)
-def _gemm_counts(layer: LayerSpec, phase: Phase, rows: int, cols: int) -> PhaseCounts:
-    """count_phase_accesses of one layer's phase, which reads only rows x cols."""
-    return count_phase_accesses(gemm_view(layer, phase),
-                                AcceleratorConfig(rows=rows, cols=cols))
+    def gemm(l: int, layer: LayerSpec, phase: Phase, row_t: int, col_t: int,
+             out_t: int) -> None:
+        counts = count_phase_accesses(gemm_view(layer, phase), array)
+        access(row_t, l, phase, counts.row_reads, 0)
+        access(col_t, l, phase, counts.col_reads, 0)
+        access(out_t, l, phase, 0, counts.result_writes)
+        compute[(l, phase)] = (counts.macs, counts.cycles)
 
-
-def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> AccessTrace:
-    """Access trace of one full training iteration over the workload."""
-    if not workload:
-        raise InvalidParameterError("workload is empty")
     n_layers = len(workload)
-    acts = [_Tensor("act0", Store.ACTIVATION, activation_elements(workload[0]))]
-    acts += [_Tensor(f"act{l}", Store.ACTIVATION, output_elements(layer))
-             for l, layer in enumerate(workload, start=1)]
-    weights = {l: _Tensor(f"w{l}", Store.WEIGHT, weight_elements(layer))
-               for l, layer in enumerate(workload, start=1)}
-    errs = [_Tensor(f"err{l}", Store.ERROR, t.elements) for l, t in enumerate(acts)]
-    wgrads = {l: _Tensor(f"wgrad{l}", Store.ERROR, weights[l].elements)
-              for l in weights}
+    acts = [tensor(Store.ACTIVATION, activation_elements(workload[0]))]
+    acts += [tensor(Store.ACTIVATION, output_elements(layer)) for layer in workload]
+    weights = [None] + [tensor(Store.WEIGHT, weight_elements(layer)) for layer in workload]
+    errs = [tensor(Store.ERROR, elements[t]) for t in acts]
+    wgrads = [None] + [tensor(Store.ERROR, elements[t]) for t in weights[1:]]
 
-    trace = AccessTrace()
-    buffers = _Buffers(cfg)
-
-    def place_from_dram(tensor: _Tensor, layer: int, phase: Phase) -> None:
-        if buffers.place(tensor):
-            # one-shot buffer fill; the fill writes are not metered
-            trace.add(layer, phase, Store.DRAM, reads=tensor.elements)
-
-    def run_gemm(layer_idx: int, layer: LayerSpec, phase: Phase,
-                 row_t: _Tensor, col_t: _Tensor, out_t: _Tensor) -> None:
-        counts = _gemm_counts(layer, phase, cfg.rows, cfg.cols)
-        trace.add(layer_idx, phase, row_t.location(), reads=counts.row_reads)
-        trace.add(layer_idx, phase, col_t.location(), reads=counts.col_reads)
-        trace.add(layer_idx, phase, out_t.location(), writes=counts.result_writes)
-        trace.set_compute(layer_idx, phase, counts.macs, counts.cycles)
-
+    place(acts[0], 1, Phase.FORWARD)
     for l, layer in enumerate(workload, start=1):
-        if l == 1:
-            place_from_dram(acts[0], l, Phase.FORWARD)
-        place_from_dram(weights[l], l, Phase.FORWARD)
-        buffers.place(acts[l])  # produced on chip, no DRAM fill
-        run_gemm(l, layer, Phase.FORWARD, acts[l - 1], weights[l], acts[l])
+        place(weights[l], l, Phase.FORWARD)
+        place(acts[l])  # produced on chip, no DRAM fill
+        gemm(l, layer, Phase.FORWARD, acts[l - 1], weights[l], acts[l])
 
-    buffers.backward = True
-    buffers.place(errs[n_layers])  # loss gradient materializes in place
+    place(errs[n_layers])  # loss gradient materializes in place
 
     for l in range(n_layers, 0, -1):
         layer = workload[l - 1]
-        buffers.place(errs[l - 1])
-        run_gemm(l, layer, Phase.BACKWARD_INPUT_GRAD,
-                 errs[l], weights[l], errs[l - 1])
-        buffers.place(wgrads[l])
-        run_gemm(l, layer, Phase.BACKWARD_WEIGHT_GRAD,
-                 errs[l], acts[l - 1], wgrads[l])
+        place(errs[l - 1])
+        gemm(l, layer, Phase.BACKWARD_INPUT_GRAD, errs[l], weights[l], errs[l - 1])
+        place(wgrads[l])
+        gemm(l, layer, Phase.BACKWARD_WEIGHT_GRAD, errs[l], acts[l - 1], wgrads[l])
 
     for l in range(1, n_layers + 1):
-        w = weights[l].elements
-        trace.add(l, Phase.WEIGHT_UPDATE, weights[l].location(), reads=w, writes=w)
-        trace.add(l, Phase.WEIGHT_UPDATE, wgrads[l].location(), reads=w)
-        trace.set_compute(l, Phase.WEIGHT_UPDATE, 0, 0)
+        w = elements[weights[l]]
+        access(weights[l], l, Phase.WEIGHT_UPDATE, w, w)
+        access(wgrads[l], l, Phase.WEIGHT_UPDATE, w, 0)
+        compute[(l, Phase.WEIGHT_UPDATE)] = (0, 0)
 
-    trace.capacity_range = buffers.bounds
-    return trace
+    phase_compute = {}
+    for (_, phase), (macs, cycles) in compute.items():
+        m, c = phase_compute.get(phase, (0, 0))
+        phase_compute[phase] = (m + macs, c + cycles)
+    return [n * element_bytes for n in elements], homes, events, compute, phase_compute
+
+
+def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> AccessTrace:
+    """Access trace of one full training iteration over the workload.
+
+    Replays the workload's schedule, built once per (workload, rows, cols),
+    through the FIFO buffers at cfg's capacities: only the placements and
+    evictions, and so each access's store, depend on the capacities.
+    """
+    if not workload:
+        raise InvalidParameterError("workload is empty")
+    sizes, homes, events, compute, phase_compute = _schedule(
+        tuple(workload), cfg.rows, cfg.cols, cfg.element_size_bytes)
+    capacity = [cfg.buffer_bytes(store) for store in _BUFFERS]
+    used = [0, 0, 0]
+    pools = [[], [], []]  # resident tensors per buffer, oldest first
+    bounds = [[0, inf], [0, inf], [0, inf]]  # [lo, hi) per buffer, see below
+    resident = [False] * len(sizes)
+    accesses: dict[tuple[int, Phase, Store], list[int]] = {}
+    totals = {(phase, store): [0, 0] for phase in Phase for store in Store}
+    for ev in events:
+        kind, t = ev[0], ev[1]
+        if kind == _ACCESS:
+            reads, writes = ev[2], ev[3]
+            key, total = ev[4] if resident[t] else ev[5]
+        else:
+            # Each comparison of a size with a capacity narrows the home
+            # buffer's range to the capacities that decide it the same way.
+            b, size = homes[t], sizes[t]
+            cap, bound, pool = capacity[b], bounds[b], pools[b]
+            if size > cap:
+                bound[1] = min(bound[1], size)
+                continue
+            while cap - used[b] < size:
+                bound[1] = min(bound[1], used[b] + size)
+                victim = pool.pop(0)
+                resident[victim] = False
+                used[b] -= sizes[victim]
+            used[b] += size
+            bound[0] = max(bound[0], used[b])
+            pool.append(t)
+            resident[t] = True
+            if ev[3] is None:
+                continue
+            reads, writes, (key, total) = ev[2], 0, ev[3]
+        cell = accesses.get(key)
+        if cell is None:
+            accesses[key] = [reads, writes]
+        else:
+            cell[0] += reads
+            cell[1] += writes
+        cell = totals[total]
+        cell[0] += reads
+        cell[1] += writes
+    return AccessTrace(totals, dict(phase_compute), accesses, dict(compute),
+                       dict(zip(_BUFFERS, bounds)))
 
 
 def _require_keys(tokens: dict[str, int], required: tuple[str, ...],

@@ -11,7 +11,8 @@ access trace) and iso-area (each technology first converts the area budget
 into its own capacity, so the traces differ too). A sweep passes one memo to
 every point, which keeps the last trace of each side and reuses it while the
 capacities stay inside the trace's decision ranges (see dataflow), so a sweep
-builds one trace per decision range it passes through, not one per point.
+builds one trace per decision range it passes through, not one per point. A
+point the memo serves builds no config and reads the trace's stored DRAM total.
 
 The heterogeneous write-energy model splits a binary32 word into sign /
 exponent / mantissa segments stored on arrays with different write operating
@@ -38,7 +39,7 @@ from .dataflow import (
     Store,
     simulate_iteration,
 )
-from .errors import InvalidParameterError, check_int
+from .errors import POSITIVE, InvalidParameterError, check_int, check_range
 
 SIGN_BITS = 1
 EXPONENT_BITS = 8
@@ -59,11 +60,9 @@ class SystemEnergyConfig:
     def __post_init__(self) -> None:
         for name in ("dram_energy_per_access_nj", "dram_latency_ns",
                      "mac_energy_pj", "clock_ghz"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
+            check_range(name, getattr(self, name), POSITIVE)
         check_int("dram_burst_elements", self.dram_burst_elements)
-        if self.dram_burst_elements < 1:
-            raise InvalidParameterError("dram_burst_elements must be >= 1")
+        check_range("dram_burst_elements", self.dram_burst_elements, 1)
 
 
 @dataclass(frozen=True)
@@ -180,21 +179,23 @@ def _buffered(cfg: AcceleratorConfig, capacity_kb: float) -> AcceleratorConfig:
                    weight_buffer_kb=capacity_kb, error_buffer_kb=capacity_kb)
 
 
-def _trace(workload: list[LayerSpec], cfg: AcceleratorConfig,
+def _trace(workload: list[LayerSpec], cfg: AcceleratorConfig, capacity_kb: float,
            memo: dict | None, side: int) -> AccessTrace:
-    """simulate_iteration, or the memo's last trace of this side when the
-    workload and every accelerator field but the capacities are the same and
-    each buffer's capacity lies in the trace's range. The memo is a dict that
-    one sweep creates and passes to each of its points."""
-    if memo is None:
-        return simulate_iteration(workload, cfg)
-    key = (tuple(workload), _buffered(cfg, 1.0))
-    last = memo.get(side)
-    if last is None or last[0] != key or not all(
-            lo <= cfg.buffer_bytes(store) < hi
-            for store, (lo, hi) in last[1].capacity_range.items()):
-        last = memo[side] = (key, simulate_iteration(workload, cfg))
-    return last[1]
+    """simulate_iteration with capacity_kb in every buffer, or the memo's last
+    trace of this side when the workload and accelerator are the same and the
+    capacity lies in each of the trace's ranges. The memo is a dict that one
+    sweep creates and passes to each of its points; a hit builds no config."""
+    key = (tuple(workload), cfg)
+    last = memo and memo.get(side)
+    # buffer_bytes truncates kb * 1024 and the ranges have integer ends, so the
+    # untruncated bytes lie in the same ranges; NaN lies in none
+    if last and last[0] == key and capacity_kb > 0 and all(
+            lo <= capacity_kb * 1024 < hi for lo, hi in last[1].capacity_range.values()):
+        return last[1]
+    trace = simulate_iteration(workload, _buffered(cfg, capacity_kb))
+    if memo is not None:
+        memo[side] = (key, trace)
+    return trace
 
 
 def compare_iso_capacity(
@@ -206,7 +207,7 @@ def compare_iso_capacity(
     """Same per-buffer capacity for both technologies: one shared trace."""
     table = table or CalibrationTable()
     sys = sys or SystemEnergyConfig()
-    trace = _trace(workload, _buffered(cfg, capacity_kb), memo, 0)
+    trace = _trace(workload, cfg, capacity_kb, memo, 0)
     reports = []
     for tech in (tech_a, tech_b):
         m = metrics_at_capacity(table, tech, capacity_kb)
@@ -229,7 +230,7 @@ def compare_iso_area(
     caps, reports, drams = [], [], []
     for side, tech in enumerate((tech_a, tech_b)):
         cap = capacity_at_area(table, tech, area_mm2)
-        trace = _trace(workload, _buffered(cfg, cap), memo, side)
+        trace = _trace(workload, cfg, cap, memo, side)
         m = metrics_at_capacity(table, tech, cap)
         caps.append(cap)
         reports.append(estimate_energy(trace, m, m, m, sys))

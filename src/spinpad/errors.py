@@ -1,7 +1,9 @@
 """Exception types shared across the simulator layers, and the one strict
 constructor that builds every config object from its JSON section."""
 
+import math
 import numbers
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 
@@ -45,6 +47,16 @@ def check_int(name: str, value) -> None:
     """Reject a value that is not an integer, a bool included."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+POSITIVE = math.ulp(0.0)  # as lo, check_range admits exactly the numbers > 0
+FINITE = -sys.float_info.max  # as lo, check_range admits every finite number < hi
+
+
+def check_range(name: str, value, lo: float, hi: float = math.inf) -> None:
+    """Reject a value unless lo <= value < hi; NaN fails every comparison."""
+    if not lo <= value < hi:
+        raise InvalidParameterError(f"{name} = {value!r} is outside [{lo!r}, {hi!r})")
 
 
 def config_from(base, section, where: str, **fixed):

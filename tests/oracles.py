@@ -6,10 +6,12 @@ bug in the package and a bug in the oracle are unlikely to coincide.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from spinpad.dataflow import (Phase, Store, activation_elements, count_phase_accesses,
+                              gemm_view, output_elements, weight_elements)
 from spinpad.errors import InvalidParameterError
 from spinpad.errortrain import _activation_pair, _backprop, init_params, inject_tensor
 from spinpad.magnetics import _default_tilt, _integrate_batch, _llg_chunk, derive_stream
@@ -329,6 +331,147 @@ def phase_totals(trace):
         m, c = compute.get(phase, (0, 0))
         compute[phase] = (m + macs, c + cycles)
     return access, compute
+
+
+# ------------------------------------------------ dataflow reference model
+# The object-based FIFO model that spinpad.dataflow.simulate_iteration
+# replaced with a schedule built once and a replay per capacity: one _Tensor
+# per tensor, one place call per placement and one add per access.
+
+
+@dataclass
+class ReferenceTrace:
+    """The per-key record of one iteration, filled one access at a time."""
+
+    accesses: dict = field(default_factory=dict)
+    compute: dict = field(default_factory=dict)
+    capacity_range: dict = field(default_factory=dict)
+
+    def add(self, layer, phase, store, reads=0, writes=0):
+        cell = self.accesses.setdefault((layer, phase, store), [0, 0])
+        cell[0] += reads
+        cell[1] += writes
+
+
+@dataclass
+class _Tensor:
+    name: str
+    home: Store
+    elements: int
+    resident: bool = False
+    era: int = 0  # 0 = placed during forward, 1 = during backward
+    seq: int = -1  # arrival order
+
+    def bytes(self, cfg):
+        return self.elements * cfg.element_size_bytes
+
+    def location(self):
+        return self.home if self.resident else Store.DRAM
+
+
+class _Buffers:
+    """FIFO scratchpad state for the three on-chip buffers."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.resident = {Store.ACTIVATION: [], Store.WEIGHT: [], Store.ERROR: []}
+        self.capacity = {store: cfg.buffer_bytes(store) for store in self.resident}
+        self.used = dict.fromkeys(self.resident, 0)  # bytes of resident[store]
+        self.bounds = {store: [0, math.inf] for store in self.resident}  # [lo, hi)
+        self.backward = False
+        self._seq = 0
+
+    def _evict_one(self, store):
+        pool = self.resident[store]
+        if not self.backward:
+            victim = min(pool, key=lambda t: t.seq)  # oldest first
+        else:
+            fwd_era = [t for t in pool if t.era == 0]
+            if fwd_era:
+                victim = max(fwd_era, key=lambda t: t.seq)  # deepest layer first
+            else:
+                victim = min(pool, key=lambda t: t.seq)
+        pool.remove(victim)
+        victim.resident = False
+        self.used[store] -= victim.bytes(self.cfg)
+
+    def place(self, tensor):
+        """Try to make a tensor resident in its home buffer; True if placed."""
+        store = tensor.home
+        size = tensor.bytes(self.cfg)
+        bound = self.bounds[store]
+        if size > self.capacity[store]:
+            bound[1] = min(bound[1], size)
+            return False
+        while self.capacity[store] - self.used[store] < size:
+            bound[1] = min(bound[1], self.used[store] + size)
+            self._evict_one(store)
+        bound[0] = max(bound[0], self.used[store] + size)
+        tensor.resident = True
+        tensor.era = 1 if self.backward else 0
+        tensor.seq = self._seq
+        self._seq += 1
+        self.resident[store].append(tensor)
+        self.used[store] += size
+        return True
+
+
+def reference_iteration(workload, cfg):
+    """spinpad.dataflow.simulate_iteration, one object per tensor."""
+    if not workload:
+        raise InvalidParameterError("workload is empty")
+    n_layers = len(workload)
+    acts = [_Tensor("act0", Store.ACTIVATION, activation_elements(workload[0]))]
+    acts += [_Tensor(f"act{l}", Store.ACTIVATION, output_elements(layer))
+             for l, layer in enumerate(workload, start=1)]
+    weights = {l: _Tensor(f"w{l}", Store.WEIGHT, weight_elements(layer))
+               for l, layer in enumerate(workload, start=1)}
+    errs = [_Tensor(f"err{l}", Store.ERROR, t.elements) for l, t in enumerate(acts)]
+    wgrads = {l: _Tensor(f"wgrad{l}", Store.ERROR, weights[l].elements)
+              for l in weights}
+
+    trace = ReferenceTrace()
+    buffers = _Buffers(cfg)
+
+    def place_from_dram(tensor, layer, phase):
+        if buffers.place(tensor):
+            # one-shot buffer fill; the fill writes are not metered
+            trace.add(layer, phase, Store.DRAM, reads=tensor.elements)
+
+    def run_gemm(layer_idx, layer, phase, row_t, col_t, out_t):
+        counts = count_phase_accesses(gemm_view(layer, phase), cfg)
+        trace.add(layer_idx, phase, row_t.location(), reads=counts.row_reads)
+        trace.add(layer_idx, phase, col_t.location(), reads=counts.col_reads)
+        trace.add(layer_idx, phase, out_t.location(), writes=counts.result_writes)
+        trace.compute[(layer_idx, phase)] = (counts.macs, counts.cycles)
+
+    for l, layer in enumerate(workload, start=1):
+        if l == 1:
+            place_from_dram(acts[0], l, Phase.FORWARD)
+        place_from_dram(weights[l], l, Phase.FORWARD)
+        buffers.place(acts[l])  # produced on chip, no DRAM fill
+        run_gemm(l, layer, Phase.FORWARD, acts[l - 1], weights[l], acts[l])
+
+    buffers.backward = True
+    buffers.place(errs[n_layers])  # loss gradient materializes in place
+
+    for l in range(n_layers, 0, -1):
+        layer = workload[l - 1]
+        buffers.place(errs[l - 1])
+        run_gemm(l, layer, Phase.BACKWARD_INPUT_GRAD,
+                 errs[l], weights[l], errs[l - 1])
+        buffers.place(wgrads[l])
+        run_gemm(l, layer, Phase.BACKWARD_WEIGHT_GRAD,
+                 errs[l], acts[l - 1], wgrads[l])
+
+    for l in range(1, n_layers + 1):
+        w = weights[l].elements
+        trace.add(l, Phase.WEIGHT_UPDATE, weights[l].location(), reads=w, writes=w)
+        trace.add(l, Phase.WEIGHT_UPDATE, wgrads[l].location(), reads=w)
+        trace.compute[(l, Phase.WEIGHT_UPDATE)] = (0, 0)
+
+    trace.capacity_range = buffers.bounds
+    return trace
 
 
 def inject_word(value, cfg, rng):

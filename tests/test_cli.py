@@ -3,16 +3,20 @@ import filecmp
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpad import energy
 from spinpad.arraymodel import CalibrationTable, MemoryTechnology, metrics_at_capacity
 from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
+from spinpad.dataflow import AcceleratorConfig
+from spinpad.energy import SystemEnergyConfig
 from spinpad.errors import ConfigError
 from spinpad.errortrain import TinyNetSpec, make_moons_dataset, train_reference
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
@@ -455,6 +459,25 @@ def test_system_compare_rejects_accelerator_clock(tmp_path, capsys):
     assert "accelerator: unknown key(s) clock_ghz" in capsys.readouterr().err
 
 
+_NUMERIC_FIELDS = ([("accelerator", f.name) for f in fields(AcceleratorConfig)]
+                   + [("system", f.name) for f in fields(SystemEnergyConfig)])
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key", _NUMERIC_FIELDS + [(None, "sweep")])
+def test_non_finite_system_compare_number_exits_one(tmp_path, capsys, section, key,
+                                                    value):
+    # json.load reads NaN and +-Infinity; every number of the config meets them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"sweep": [32.0, {value}]}}' if section is None else
+                   f'{{"sweep": [32.0], "{section}": {{"{key}": {value}}}}}')
+    out = tmp_path / "o"
+    assert run_cli("system-compare", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"{section}: {key} " if section else f"{cfg}: sweep ") in err, err
+    assert not (out / "compare.csv").exists()
+
+
 def test_system_compare_rerun_byte_identical(tmp_path):
     out = tmp_path / "o"
     assert run_cli("system-compare", "--sweep", "32.0,183.0",
@@ -707,6 +730,26 @@ def test_system_compare_outputs_pinned(tmp_path, name):
     if name == "vgg16_dense":  # the grid is dense enough to move FIFO decisions
         rows = read_csv(out / "compare.csv")
         assert len({r["dram_elements_a"] for r in rows}) > 30
+
+
+# traces the sweep memo builds for each pinned sweep, one per run of points
+# that share every FIFO decision
+PINNED_TRACES_BUILT = {"iso_area": 4, "iso_capacity": 4, "vgg16_dense": 38}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES_BUILT))
+def test_system_compare_traces_built_pinned(tmp_path, name):
+    built = []
+    real = energy.simulate_iteration
+
+    def counting(workload, cfg):
+        built.append(cfg)
+        return real(workload, cfg)
+
+    argv = _system_compare_args(name, tmp_path)
+    with mock.patch.object(energy, "simulate_iteration", counting):
+        assert run_cli("system-compare", *argv, "--out", str(tmp_path / "o")) == 0
+    assert len(built) == PINNED_TRACES_BUILT[name]
 
 
 def test_error_train_rerun_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_gemm_counts, phase_totals
+from oracles import _Buffers, _Tensor, brute_force_gemm_counts, phase_totals, reference_iteration
 
 from spinpad import energy
 from spinpad.arraymodel import MemoryTechnology
@@ -21,8 +21,7 @@ from spinpad.dataflow import (
     GemmShape,
     Phase,
     Store,
-    _Buffers,
-    _Tensor,
+    _schedule,
     activation_elements,
     count_phase_accesses,
     gemm_view,
@@ -48,6 +47,13 @@ MRAM = MemoryTechnology.mram_base()
 
 TOY_VGG = Path(__file__).parent.parent / "configs" / "workload_vgg_toy.txt"
 GEMM_PHASES = (Phase.FORWARD, Phase.BACKWARD_INPUT_GRAD, Phase.BACKWARD_WEIGHT_GRAD)
+
+# VGG-16 at 224x224, batch 32, with pooling folded into the next layer's input
+VGG16 = [Conv(32, i, m, m, o, 3, 1, 1) for i, o, m in (
+    (3, 64, 224), (64, 64, 224), (64, 128, 112), (128, 128, 112), (128, 256, 56),
+    (256, 256, 56), (256, 256, 56), (256, 512, 28), (512, 512, 28), (512, 512, 28),
+    (512, 512, 14), (512, 512, 14), (512, 512, 14))]
+VGG16 += [FullyConnected(32, i, o) for i, o in ((25088, 4096), (4096, 4096), (4096, 1000))]
 
 TOY_NET = [
     Conv(2, 3, 8, 8, 8, 3, 1, 1),
@@ -79,6 +85,9 @@ def test_accelerator_config_validation():
         AcceleratorConfig(rows=0)
     with pytest.raises(InvalidParameterError):
         AcceleratorConfig(activation_buffer_kb=0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameterError):
+            AcceleratorConfig(weight_buffer_kb=bad)
     with pytest.raises(InvalidParameterError):
         AcceleratorConfig(element_size_bytes=8)
 
@@ -129,13 +138,20 @@ def test_gemm_counts_match_bruteforce_oracle(shape, rows, cols):
     assert got.macs == ref["macs"]
 
 
+def store_totals(trace, store):
+    """(reads, writes) of one store over the whole iteration."""
+    return (sum(trace.phase_reads(phase, store) for phase in Phase),
+            sum(trace.phase_writes(phase, store) for phase in Phase))
+
+
 def test_single_conv_full_residency_trace():
     # hand-traced four-phase schedule for Conv(1,1,4,4,1,3,1,0)
     tr = simulate_iteration([CANON_CONV], BIG)
-    assert (tr.reads(Store.ACTIVATION), tr.writes(Store.ACTIVATION)) == (72, 4)
-    assert (tr.reads(Store.WEIGHT), tr.writes(Store.WEIGHT)) == (27, 9)
-    assert (tr.reads(Store.ERROR), tr.writes(Store.ERROR)) == (157, 25)
-    assert (tr.reads(Store.DRAM), tr.writes(Store.DRAM)) == (25, 0)
+    assert store_totals(tr, Store.ACTIVATION) == (72, 4)
+    assert store_totals(tr, Store.WEIGHT) == (27, 9)
+    assert store_totals(tr, Store.ERROR) == (157, 25)
+    assert store_totals(tr, Store.DRAM) == (25, 0)
+    assert tr.dram_elements() == 25
     assert sum(tr.phase_macs(phase) for phase in Phase) == 216
     assert tr.total_cycles() == 51
     assert tr.phase_macs(Phase.FORWARD) == 36
@@ -149,9 +165,8 @@ def test_empty_buffers_spill_everything():
                              error_buffer_kb=0.001)
     tr = simulate_iteration([CANON_CONV], tiny)
     for store in (Store.ACTIVATION, Store.WEIGHT, Store.ERROR):
-        assert tr.reads(store) == 0
-        assert tr.writes(store) == 0
-    assert (tr.reads(Store.DRAM), tr.writes(Store.DRAM)) == (256, 38)
+        assert store_totals(tr, store) == (0, 0)
+    assert store_totals(tr, Store.DRAM) == (256, 38)
 
 
 def test_weight_update_counts():
@@ -349,22 +364,30 @@ def _assert_getters_equal_oracle(trace):
                 access.get((phase, store), (0, 0))
 
 
+def _assert_replay_equals_reference(workload, cfg):
+    """The replay against the object-based reference, record for record."""
+    trace = simulate_iteration(workload, cfg)
+    ref = reference_iteration(workload, cfg)
+    assert trace.accesses == ref.accesses
+    assert trace.compute == ref.compute
+    assert trace.capacity_range == ref.capacity_range
+    _assert_getters_equal_oracle(trace)
+    assert trace.dram_elements() == sum(store_totals(trace, Store.DRAM))
+    return trace
+
+
 def _check_bookkeeping(workload, act_kb, wt_kb, err_kb, shapes):
     for rows, cols in shapes:
         cfg = AcceleratorConfig(rows=rows, cols=cols, activation_buffer_kb=act_kb,
                                 weight_buffer_kb=wt_kb, error_buffer_kb=err_kb)
         with mock.patch.object(_Buffers, "place", _place_checking_used):
-            trace = simulate_iteration(workload, cfg)
-        _assert_getters_equal_oracle(trace)
+            reference_iteration(workload, cfg)
+        trace = _assert_replay_equals_reference(workload, cfg)
         for l, layer in enumerate(workload, start=1):
             for phase in GEMM_PHASES:
                 ref = brute_force_gemm_counts(*astuple(gemm_view(layer, phase)),
                                               rows, cols)
                 assert trace.compute[(l, phase)] == (ref["macs"], ref["cycles"])
-        # overwriting a compute record replaces it in the totals
-        trace.set_compute(1, Phase.FORWARD, 7, 11)
-        trace.set_compute(1, Phase.FORWARD, 3, 5)
-        _assert_getters_equal_oracle(trace)
 
 
 _CONVS = st.builds(
@@ -389,6 +412,41 @@ def test_trace_totals_and_buffer_bytes_equal_oracle(workload, act_kb, wt_kb, err
 def test_toy_vgg_totals_and_buffer_bytes_equal_oracle(kb):
     _check_bookkeeping(load_workload(TOY_VGG), kb, kb, kb,
                        shapes=((16, 16), (16, 64), (64, 16)))
+
+
+@given(workload=st.lists(st.one_of(_CONVS, _FCS), min_size=1, max_size=5),
+       act_kb=_KB, wt_kb=_KB, err_kb=_KB,
+       rows=st.integers(1, 32), cols=st.integers(1, 32))
+@settings(max_examples=100, deadline=None)
+def test_replay_equals_reference_model(workload, act_kb, wt_kb, err_kb, rows, cols):
+    _assert_replay_equals_reference(workload, AcceleratorConfig(
+        rows=rows, cols=cols, activation_buffer_kb=act_kb, weight_buffer_kb=wt_kb,
+        error_buffer_kb=err_kb))
+
+
+@pytest.mark.parametrize("workload,low_kb,high_kb", [
+    (load_workload(TOY_VGG), 1004.0, 1064.0), (VGG16, 286.0, 290.0)],
+    ids=["toy_vgg", "vgg16"])
+def test_replay_equals_reference_where_dram_traffic_rises(workload, low_kb, high_kb):
+    dram = []
+    for kb in (low_kb, high_kb):
+        cfg = AcceleratorConfig(activation_buffer_kb=kb, weight_buffer_kb=kb,
+                                error_buffer_kb=kb)
+        dram.append(_assert_replay_equals_reference(workload, cfg).dram_elements())
+    assert dram[0] < dram[1]
+
+
+def test_schedule_cache_serves_interleaved_workloads_and_arrays():
+    # one process, several workloads and array shapes in turn: every trace
+    # equals the reference, and a build from an emptied cache
+    cases = [(workload, AcceleratorConfig(rows=rows, cols=cols, activation_buffer_kb=kb,
+                                          weight_buffer_kb=kb, error_buffer_kb=kb))
+             for kb in (16.0, 1064.0) for rows, cols in ((16, 16), (4, 64))
+             for workload in (TOY_NET, load_workload(TOY_VGG), TOY_NET[1:])]
+    traces = [_assert_replay_equals_reference(w, cfg) for w, cfg in cases * 2]
+    _schedule.cache_clear()
+    for (workload, cfg), trace in zip(cases * 2, traces):
+        assert simulate_iteration(workload, cfg) == trace
 
 
 _KB_FIELDS = {Store.ACTIVATION: "activation_buffer_kb",

@@ -120,8 +120,7 @@ def test_load_system_config_errors(tmp_path, body):
 
 def test_leakage_only_trace():
     # one buffer at 323 mW, 1000 cycles at 1 GHz = 1 us, no accesses
-    trace = AccessTrace()
-    trace.set_compute(0, Phase.FORWARD, 0, 1000)
+    trace = AccessTrace(phase_compute={Phase.FORWARD: (0, 1000)})
     act = flat_metrics(leakage_mw=323.0)
     other = flat_metrics()
     rep = estimate_energy(trace, act, other, other, SystemEnergyConfig())
@@ -136,9 +135,8 @@ def test_leakage_only_trace():
 def test_dram_energy_linearity():
     sys = SystemEnergyConfig()
     m = flat_metrics()
-    t1, t2 = AccessTrace(), AccessTrace()
-    t1.add(0, Phase.FORWARD, Store.DRAM, reads=960)
-    t2.add(0, Phase.FORWARD, Store.DRAM, reads=1920)
+    t1 = AccessTrace({(Phase.FORWARD, Store.DRAM): [960, 0]})
+    t2 = AccessTrace({(Phase.FORWARD, Store.DRAM): [1920, 0]})
     r1 = estimate_energy(t1, m, m, m, sys)
     r2 = estimate_energy(t2, m, m, m, sys)
     assert r2.dram_nj == pytest.approx(2.0 * r1.dram_nj, rel=1e-12)
@@ -147,9 +145,8 @@ def test_dram_energy_linearity():
 
 
 def test_onchip_energy_uses_per_buffer_metrics():
-    trace = AccessTrace()
-    trace.add(0, Phase.FORWARD, Store.ACTIVATION, reads=100, writes=50)
-    trace.add(0, Phase.FORWARD, Store.WEIGHT, reads=10)
+    trace = AccessTrace({(Phase.FORWARD, Store.ACTIVATION): [100, 50],
+                         (Phase.FORWARD, Store.WEIGHT): [10, 0]})
     act = flat_metrics(read_energy_pj=2.0, write_energy_pj=3.0)
     wt = flat_metrics(read_energy_pj=7.0)
     err = flat_metrics()
@@ -158,8 +155,7 @@ def test_onchip_energy_uses_per_buffer_metrics():
 
 
 def test_compute_energy_from_macs():
-    trace = AccessTrace()
-    trace.set_compute(0, Phase.FORWARD, 5000, 10)
+    trace = AccessTrace(phase_compute={Phase.FORWARD: (5000, 10)})
     m = flat_metrics()
     rep = estimate_energy(trace, m, m, m, SystemEnergyConfig(mac_energy_pj=2.0))
     assert rep.compute_nj == pytest.approx(10.0)
@@ -178,21 +174,21 @@ def test_breakdown_additivity_and_nonnegative():
 
 def test_time_model():
     """Fully serialized time: cycles at the one clock, DRAM bursts, latencies."""
-    tr = AccessTrace()
-    tr.set_compute(1, Phase.FORWARD, 0, 1000)
+    totals = {}
     flat = flat_metrics()
 
     def time_ns(act=flat, **sys):
         cfg = SystemEnergyConfig(dram_latency_ns=50.0, **sys)
+        tr = AccessTrace(dict(totals), {Phase.FORWARD: (0, 1000)})
         return estimate_energy(tr, act, flat, flat, cfg).time_ns
 
     assert time_ns() == 1000.0
     assert time_ns(clock_ghz=4.0) == 250.0
-    tr.add(1, Phase.FORWARD, Store.DRAM, reads=1)
+    totals[(Phase.FORWARD, Store.DRAM)] = [1, 0]
     assert time_ns(dram_burst_elements=1) == 1050.0
     # fractional burst occupancy
     assert time_ns(dram_burst_elements=16) == pytest.approx(1000.0 + 50.0 / 16)
-    tr.add(1, Phase.FORWARD, Store.ACTIVATION, reads=3, writes=2)
+    totals[(Phase.FORWARD, Store.ACTIVATION)] = [3, 2]
     act = flat_metrics(read_latency_ns=2.0, write_latency_ns=5.0)
     assert time_ns(act, dram_burst_elements=1) == 1050.0 + 3 * 2.0 + 2 * 5.0
     with pytest.raises(InvalidParameterError):
