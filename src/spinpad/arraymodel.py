@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, InvalidParameterError, OutOfRangeError
+from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError,
+                     OutOfRangeError, check_range)
 from .magnetics import LnWerFit, WER_BASELINE, WritePulse, relative_write_energy
 
 # Combined reduced-write-cost operating point: 53% latency / 60% energy
@@ -49,6 +50,17 @@ _MRAM_KINDS = {
     TechnologyKind.MRAM_CUSTOM,
 }
 
+# (write_latency_factor, write_energy_factor, wer) of each named technology;
+# only mram_custom sets its own
+_PRESETS = {
+    TechnologyKind.SRAM: (1.0, 1.0, 0.0),
+    TechnologyKind.MRAM_BASE: (1.0, 1.0, WER_BASELINE),
+    TechnologyKind.MRAM_LOW_VOLTAGE: (LOW_MODE_LATENCY_FACTOR, LOW_MODE_ENERGY_FACTOR,
+                                      LOW_MODE_WER),
+    TechnologyKind.MRAM_LOW_DURATION: (LOW_MODE_LATENCY_FACTOR, LOW_MODE_ENERGY_FACTOR,
+                                       LOW_MODE_WER),
+}
+
 
 @dataclass(frozen=True)
 class MemoryTechnology:
@@ -60,86 +72,30 @@ class MemoryTechnology:
     wer: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.write_latency_factor <= 1.0:
+        check_range("write_latency_factor", self.write_latency_factor, POSITIVE, THROUGH_ONE)
+        check_range("write_energy_factor", self.write_energy_factor, POSITIVE, THROUGH_ONE)
+        check_range("wer", self.wer, 0.0, 1.0)
+        own = (self.write_latency_factor, self.write_energy_factor, self.wer)
+        preset = _PRESETS.get(self.kind, own)
+        if own != preset:
             raise InvalidParameterError(
-                f"write_latency_factor must be in (0, 1], got {self.write_latency_factor}"
-            )
-        if not 0.0 < self.write_energy_factor <= 1.0:
-            raise InvalidParameterError(
-                f"write_energy_factor must be in (0, 1], got {self.write_energy_factor}"
-            )
-        if not 0.0 <= self.wer < 1.0:
-            raise InvalidParameterError(f"wer must be in [0, 1), got {self.wer}")
-        if self.kind == TechnologyKind.SRAM:
-            if (self.write_latency_factor, self.write_energy_factor) != (1.0, 1.0):
-                raise InvalidParameterError("SRAM carries no write-mode factors")
-            if self.wer != 0.0:
-                raise InvalidParameterError("SRAM wer must be 0")
-        if self.kind == TechnologyKind.MRAM_BASE:
-            if (self.write_latency_factor, self.write_energy_factor) != (1.0, 1.0):
-                raise InvalidParameterError("MRAM_BASE carries no write-mode factors")
-            if self.wer != WER_BASELINE:
-                raise InvalidParameterError(f"MRAM_BASE wer must be {WER_BASELINE}")
-        if self.kind in _MRAM_KINDS and self.write_energy_factor < 1.0:
+                f"{self.kind.value} carries (write_latency_factor, write_energy_factor, "
+                f"wer) = {preset}, got {own}")
+        if self.write_energy_factor < 1.0 and self.wer <= WER_BASELINE:
             # cheaper writes are bought with reliability, never for free
-            if self.wer <= WER_BASELINE:
-                raise InvalidParameterError(
-                    "write_energy_factor < 1 requires wer above the baseline "
-                    f"{WER_BASELINE}"
-                )
-
-    @classmethod
-    def sram(cls) -> "MemoryTechnology":
-        return cls(TechnologyKind.SRAM)
-
-    @classmethod
-    def mram_base(cls) -> "MemoryTechnology":
-        return cls(TechnologyKind.MRAM_BASE, wer=WER_BASELINE)
-
-    @classmethod
-    def mram_low_voltage(cls) -> "MemoryTechnology":
-        return cls(
-            TechnologyKind.MRAM_LOW_VOLTAGE,
-            write_latency_factor=LOW_MODE_LATENCY_FACTOR,
-            write_energy_factor=LOW_MODE_ENERGY_FACTOR,
-            wer=LOW_MODE_WER,
-        )
-
-    @classmethod
-    def mram_low_duration(cls) -> "MemoryTechnology":
-        return cls(
-            TechnologyKind.MRAM_LOW_DURATION,
-            write_latency_factor=LOW_MODE_LATENCY_FACTOR,
-            write_energy_factor=LOW_MODE_ENERGY_FACTOR,
-            wer=LOW_MODE_WER,
-        )
-
-    @classmethod
-    def custom(
-        cls, write_latency_factor: float, write_energy_factor: float, wer: float
-    ) -> "MemoryTechnology":
-        return cls(
-            TechnologyKind.MRAM_CUSTOM,
-            write_latency_factor=write_latency_factor,
-            write_energy_factor=write_energy_factor,
-            wer=wer,
-        )
+            raise InvalidParameterError(
+                f"write_energy_factor < 1 requires wer above the baseline {WER_BASELINE}")
 
     @classmethod
     def from_name(cls, name: str) -> "MemoryTechnology":
-        factories = {
-            TechnologyKind.SRAM: cls.sram,
-            TechnologyKind.MRAM_BASE: cls.mram_base,
-            TechnologyKind.MRAM_LOW_VOLTAGE: cls.mram_low_voltage,
-            TechnologyKind.MRAM_LOW_DURATION: cls.mram_low_duration,
-        }
+        """The named technology with its preset factors and wer."""
         try:
             kind = TechnologyKind(name)
         except ValueError:
             raise ConfigError(f"unknown technology {name!r}") from None
-        if kind not in factories:
+        if kind not in _PRESETS:
             raise ConfigError(f"technology {name!r} needs explicit factors")
-        return factories[kind]()
+        return cls(kind, *_PRESETS[kind])
 
 
 @dataclass(frozen=True)
@@ -156,19 +112,14 @@ class ArrayMetrics:
     wer: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_kb <= 0 or self.area_mm2 <= 0:
-            raise InvalidParameterError("capacity and area must be positive")
-        for name in (
-            "read_latency_ns",
-            "write_latency_ns",
-            "read_energy_pj",
-            "write_energy_pj",
-            "leakage_mw",
-        ):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be non-negative")
-        if not 0.0 <= self.wer < 1.0:
-            raise InvalidParameterError(f"wer must be in [0, 1), got {self.wer}")
+        check_range("capacity_kb", self.capacity_kb, POSITIVE)
+        check_range("area_mm2", self.area_mm2, POSITIVE)
+        check_range("read_latency_ns", self.read_latency_ns, 0.0)
+        check_range("write_latency_ns", self.write_latency_ns, 0.0)
+        check_range("read_energy_pj", self.read_energy_pj, 0.0)
+        check_range("write_energy_pj", self.write_energy_pj, 0.0)
+        check_range("leakage_mw", self.leakage_mw, 0.0)
+        check_range("wer", self.wer, 0.0, 1.0)
 
 
 # Fields interpolated in log-log space (wer comes from the technology instead).
@@ -241,12 +192,9 @@ class CalibrationTable:
                 vals = [getattr(p, name) for p in points]
                 if any(b <= a for a, b in zip(vals, vals[1:])):
                     raise ConfigError(f"{kind.value}: {name} must strictly increase")
-            for p in points:
+            for p in points:  # log-log interpolation needs every anchor value > 0
                 for name in _INTERP_FIELDS:
-                    if getattr(p, name) <= 0:
-                        raise ConfigError(
-                            f"{kind.value}: {name} must be positive at every anchor"
-                        )
+                    check_range(f"{kind.value}: {name}", getattr(p, name), POSITIVE)
 
     def anchors_for(self, kind: TechnologyKind) -> tuple[ArrayMetrics, ...]:
         """Anchor set backing a technology; MRAM modes share MRAM_BASE anchors."""
@@ -300,7 +248,7 @@ class CalibrationTable:
                 anchors.setdefault(kind, []).append(metrics)
         try:
             return cls({k: tuple(v) for k, v in anchors.items()})
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -323,8 +271,7 @@ def metrics_at_capacity(
     table: CalibrationTable, tech: MemoryTechnology, capacity_kb: float
 ) -> ArrayMetrics:
     """Interpolated metrics at a capacity, with the write mode applied."""
-    if capacity_kb <= 0:
-        raise InvalidParameterError("capacity must be positive")
+    check_range("capacity_kb", capacity_kb, POSITIVE)
     points = table.anchors_for(tech.kind)
     caps = [p.capacity_kb for p in points]
     if not caps[0] / GUARD_FACTOR <= capacity_kb <= caps[-1] * GUARD_FACTOR:
@@ -346,8 +293,7 @@ def capacity_at_area(
     table: CalibrationTable, tech: MemoryTechnology, area_mm2: float
 ) -> float:
     """Largest capacity whose array fits the area budget (inverse of the anchors)."""
-    if area_mm2 <= 0:
-        raise InvalidParameterError("area must be positive")
+    check_range("area_mm2", area_mm2, POSITIVE)
     points = table.anchors_for(tech.kind)
     areas = [p.area_mm2 for p in points]
     if not areas[0] <= area_mm2 <= areas[-1]:
@@ -390,7 +336,8 @@ def derive_custom_mode(
             f"{WER_BASELINE} on this fit (ln WER {ln_base:.4f})"
         )
     wer = min(fit.wer_at(pulse.amplitude_ua), math.nextafter(1.0, 0.0))
-    return MemoryTechnology.custom(
+    return MemoryTechnology(
+        TechnologyKind.MRAM_CUSTOM,
         write_latency_factor=pulse.duration_ns / baseline.duration_ns,
         write_energy_factor=relative_write_energy(pulse, baseline),
         wer=wer,

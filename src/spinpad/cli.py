@@ -35,6 +35,7 @@ from .dataflow import (
     Conv,
     FullyConnected,
     LayerSpec,
+    layer_from_dict,
     load_workload,
 )
 from .energy import (
@@ -44,8 +45,8 @@ from .energy import (
     compare_iso_capacity,
     hetero_write_energy,
 )
-from .errors import (FINITE, ConfigError, InvalidParameterError, SpinpadError, check_int,
-                     check_range, config_from)
+from .errors import (FINITE, POSITIVE, ConfigError, InvalidParameterError, SpinpadError,
+                     check_int, check_range, config_from)
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -159,21 +160,17 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
     return {"kind": kind, **asdict(layer)}
 
 
-def _layer_from_dict(raw: dict, where: str) -> LayerSpec:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"{where}: each layer needs a 'kind'")
-    raw = dict(raw)
-    kind = raw.pop("kind")
-    cls = {"conv": Conv, "fc": FullyConnected}.get(kind)
-    if cls is None:
-        raise ConfigError(f"{where}: unknown layer kind {kind!r}")
-    return config_from(cls, raw, where)
-
-
 def _workload_from_config(items, where: str) -> list[LayerSpec]:
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{where}: workload must be a non-empty list")
-    return [_layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
+    return [layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
+
+
+def _floats(name: str, values, lo: float = FINITE) -> tuple[float, ...]:
+    """A config's list of numbers as floats, each checked to lie in [lo, inf)."""
+    for value in values:
+        check_range(name, value, lo)
+    return tuple(map(float, values))
 
 
 def _table(calibration_csv: str | None) -> CalibrationTable:
@@ -211,8 +208,8 @@ class _WerSweep:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        self.durations_ns = tuple(map(float, self.durations_ns))
-        self.amplitudes_ua = tuple(map(float, self.amplitudes_ua))
+        self.durations_ns = _floats("durations_ns", self.durations_ns, POSITIVE)
+        self.amplitudes_ua = _floats("amplitudes_ua", self.amplitudes_ua, 0.0)
         check_int("workers", self.workers)
 
 
@@ -269,7 +266,7 @@ class _ArraySweep:
     calibration_csv: str | None = None
 
     def __post_init__(self) -> None:
-        self.capacities_kb = tuple(map(float, self.capacities_kb))
+        self.capacities_kb = _floats("capacities_kb", self.capacities_kb)
 
 
 def _resolve_array_sweep(args) -> _ArraySweep:
@@ -312,9 +309,7 @@ class _SystemCompare:
     calibration_csv: str | None = None
 
     def __post_init__(self) -> None:
-        self.sweep = tuple(map(float, self.sweep))
-        for value in self.sweep:
-            check_range("sweep", value, FINITE)
+        self.sweep = _floats("sweep", self.sweep)
         if self.mode not in ("iso-capacity", "iso-area"):
             raise InvalidParameterError(
                 f"mode must be iso-capacity or iso-area, got {self.mode!r}")
@@ -403,6 +398,7 @@ class _HeteroWrite:
 
     def __post_init__(self) -> None:
         check_int("mantissa_bits", self.mantissa_bits)
+        check_range("bit_energy_pj", self.bit_energy_pj, POSITIVE)
         self.bit_energy_pj = float(self.bit_energy_pj)
 
 

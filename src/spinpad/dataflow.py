@@ -40,14 +40,14 @@ DRAM read/write counts in the trace are in elements; the energy model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from math import inf
 from pathlib import Path
 
 from .errors import (POSITIVE, ConfigError, InvalidLayerError, InvalidParameterError,
-                     NotAGemmError, check_int, check_range)
+                     NotAGemmError, check_int, check_range, config_from)
 
 
 class Phase(str, Enum):
@@ -64,6 +64,14 @@ class Store(str, Enum):
     DRAM = "dram"
 
 
+def _check_counts(shape) -> None:
+    """Every field of a layer or GEMM is an integer >= 1; padding may be 0."""
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        check_int(f.name, value)
+        check_range(f.name, value, 0 if f.name == "padding" else 1)
+
+
 @dataclass(frozen=True)
 class Conv:
     batch: int
@@ -76,12 +84,7 @@ class Conv:
     padding: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("batch", "in_channels", "in_height", "in_width",
-                     "out_channels", "kernel", "stride"):
-            if getattr(self, name) < 1:
-                raise InvalidLayerError(f"{name} must be >= 1")
-        if self.padding < 0:
-            raise InvalidLayerError("padding must be >= 0")
+        _check_counts(self)
         if (self.kernel > self.in_height + 2 * self.padding
                 or self.kernel > self.in_width + 2 * self.padding):
             raise InvalidLayerError("kernel larger than padded input")
@@ -94,9 +97,7 @@ class FullyConnected:
     out_features: int
 
     def __post_init__(self) -> None:
-        for name in ("batch", "in_features", "out_features"):
-            if getattr(self, name) < 1:
-                raise InvalidLayerError(f"{name} must be >= 1")
+        _check_counts(self)
 
 
 LayerSpec = Conv | FullyConnected
@@ -118,8 +119,7 @@ class AcceleratorConfig:
         check_range("cols", self.cols, 1)
         for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
             check_range(name, getattr(self, name), POSITIVE)
-        if self.element_size_bytes != 4:
-            raise InvalidParameterError("element size is fixed at 4 bytes (binary32)")
+        check_range("element_size_bytes", self.element_size_bytes, 4, 5)  # binary32 only
 
     def buffer_bytes(self, store: Store) -> int:
         kb = {
@@ -137,8 +137,7 @@ class GemmShape:
     n_cols: int
 
     def __post_init__(self) -> None:
-        if self.m_rows < 1 or self.k_depth < 1 or self.n_cols < 1:
-            raise InvalidParameterError("gemm dimensions must be >= 1")
+        _check_counts(self)
 
 
 def out_dims(layer: Conv) -> tuple[int, int]:
@@ -396,21 +395,33 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
                        dict(zip(_BUFFERS, bounds)))
 
 
-def _require_keys(tokens: dict[str, int], required: tuple[str, ...],
-                  optional: tuple[str, ...], where: str) -> None:
-    missing = [k for k in required if k not in tokens]
-    if missing:
-        raise ConfigError(f"{where}: missing field(s) {', '.join(missing)}")
-    unknown = [k for k in tokens if k not in required + optional]
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
+# each layer kind, and the short keys of its workload-file line
+_LAYER_KINDS = {
+    "conv": (Conv, {"b": "batch", "i": "in_channels", "m": "in_height", "n": "in_width",
+                    "o": "out_channels", "k": "kernel", "stride": "stride", "pad": "padding"}),
+    "fc": (FullyConnected, {"b": "batch", "in": "in_features", "out": "out_features"}),
+}
+
+
+def layer_from_dict(raw, where: str) -> LayerSpec:
+    """A layer from {"kind": "conv" or "fc", field: value, ...}, built by config_from."""
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigError(f"{where}: each layer needs a 'kind'")
+    raw = dict(raw)
+    kind = raw.pop("kind")
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ConfigError(f"{where}: unknown layer kind {kind!r}")
+    return config_from(_LAYER_KINDS[kind][0], raw, where)
 
 
 def load_workload(path: str | Path) -> list[LayerSpec]:
     """Parse a layer-per-line workload file.
 
     Lines look like `conv b=8 i=3 m=16 n=16 o=16 k=3 stride=1 pad=1` or
-    `fc b=8 in=2048 out=64`; blank lines and #-comments are skipped.
+    `fc b=8 in=2048 out=64`; blank lines and #-comments are skipped. Each
+    short key names a field of the kind's layer (_LAYER_KINDS); any other key
+    is taken as a field name, and a field set twice is an error. The line is
+    built as layer_from_dict builds a workload entry of a config.
     """
     layers: list[LayerSpec] = []
     with open(path) as fh:
@@ -419,38 +430,21 @@ def load_workload(path: str | Path) -> list[LayerSpec]:
             if not line:
                 continue
             where = f"{path}:{lineno}"
-            parts = line.split()
-            kind, fields = parts[0].lower(), parts[1:]
-            tokens: dict[str, int] = {}
-            for part in fields:
-                key, sep, value = part.partition("=")
+            kind, *tokens = line.split()
+            short = _LAYER_KINDS.get(kind.lower(), (None, {}))[1]
+            layer = {"kind": kind.lower()}
+            for token in tokens:
+                key, sep, value = token.partition("=")
                 if not sep:
-                    raise ConfigError(f"{where}: expected key=value, got {part!r}")
+                    raise ConfigError(f"{where}: expected key=value, got {token!r}")
+                name = short.get(key, key)
+                if name in layer:
+                    raise ConfigError(f"{where}: {key} given twice")
                 try:
-                    tokens[key] = int(value)
+                    layer[name] = int(value)
                 except ValueError:
                     raise ConfigError(f"{where}: {key} must be an integer") from None
-            try:
-                if kind == "conv":
-                    _require_keys(tokens, ("b", "i", "m", "n", "o", "k"),
-                                  ("stride", "pad"), where)
-                    layers.append(Conv(
-                        batch=tokens["b"], in_channels=tokens["i"],
-                        in_height=tokens["m"], in_width=tokens["n"],
-                        out_channels=tokens["o"], kernel=tokens["k"],
-                        stride=tokens.get("stride", 1),
-                        padding=tokens.get("pad", 0),
-                    ))
-                elif kind == "fc":
-                    _require_keys(tokens, ("b", "in", "out"), (), where)
-                    layers.append(FullyConnected(
-                        batch=tokens["b"], in_features=tokens["in"],
-                        out_features=tokens["out"],
-                    ))
-                else:
-                    raise ConfigError(f"{where}: unknown layer kind {kind!r}")
-            except InvalidLayerError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            layers.append(layer_from_dict(layer, where))
     if not layers:
         raise ConfigError(f"{path}: no layers defined")
     return layers

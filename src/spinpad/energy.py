@@ -39,7 +39,7 @@ from .dataflow import (
     Store,
     simulate_iteration,
 )
-from .errors import POSITIVE, InvalidParameterError, check_int, check_range
+from .errors import POSITIVE, check_int, check_range
 
 SIGN_BITS = 1
 EXPONENT_BITS = 8
@@ -250,10 +250,9 @@ class SegmentMap:
     mantissa_bits_on_optimized: int = MANTISSA_BITS
 
     def __post_init__(self) -> None:
-        if not 0 <= self.mantissa_bits_on_optimized <= MANTISSA_BITS:
-            raise InvalidParameterError(
-                f"mantissa_bits_on_optimized must be in [0, {MANTISSA_BITS}]"
-            )
+        check_int("mantissa_bits_on_optimized", self.mantissa_bits_on_optimized)
+        check_range("mantissa_bits_on_optimized", self.mantissa_bits_on_optimized, 0,
+                    MANTISSA_BITS + 1)
 
     def word_energy_factor(self) -> float:
         """Per-word write-energy factor relative to an all-base-mode word."""
@@ -274,8 +273,7 @@ class HeteroWriteResult:
 
 def hetero_write_energy(seg: SegmentMap, base_bit_energy_pj: float) -> HeteroWriteResult:
     """Per-word write energy of a segment mapping vs an all-base word."""
-    if base_bit_energy_pj <= 0:
-        raise InvalidParameterError("base_bit_energy_pj must be positive")
+    check_range("base_bit_energy_pj", base_bit_energy_pj, POSITIVE)
     factor = seg.word_energy_factor()
     per_word = WORD_BITS * base_bit_energy_pj * factor
     return HeteroWriteResult(per_word, factor, 1.0 / factor)

@@ -51,12 +51,23 @@ def check_int(name: str, value) -> None:
 
 POSITIVE = math.ulp(0.0)  # as lo, check_range admits exactly the numbers > 0
 FINITE = -sys.float_info.max  # as lo, check_range admits every finite number < hi
+THROUGH_ONE = math.nextafter(1.0, math.inf)  # as hi, check_range admits 1.0 and below
 
 
 def check_range(name: str, value, lo: float, hi: float = math.inf) -> None:
-    """Reject a value unless lo <= value < hi; NaN fails every comparison."""
-    if not lo <= value < hi:
-        raise InvalidParameterError(f"{name} = {value!r} is outside [{lo!r}, {hi!r})")
+    """Reject a value unless it is a number, not a bool, with lo <= value < hi.
+
+    NaN fails every comparison, and a value that does not compare with a
+    number fails too. A closed upper end is hi = math.nextafter(end, math.inf)
+    for a float and end + 1 for an integer.
+    """
+    try:
+        if lo <= value < hi and value is not True and value is not False:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameterError(
+        f"{name} must be a finite number in [{lo!r}, {hi!r}), got {value!r}")
 
 
 def config_from(base, section, where: str, **fixed):

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, check_int, config_from
+from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError, check_int,
+                     check_range, config_from)
 from .magnetics import derive_stream, derive_streams
 
 SIGN_BIT = 31
@@ -75,16 +75,10 @@ class SegmentErrorConfig:
 
     def __post_init__(self) -> None:
         for name in ("sign_wer", "exponent_wer", "mantissa_wer"):
-            p = getattr(self, name)
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                raise InvalidParameterError(f"{name} must be a real number, got {p!r}")
-            if not 0.0 <= p <= 1.0:
-                raise InvalidParameterError(f"{name} must be in [0, 1], got {p}")
+            check_range(name, getattr(self, name), 0.0, THROUGH_ONE)
         check_int("affected_mantissa_bits", self.affected_mantissa_bits)
-        if not 0 <= self.affected_mantissa_bits <= MANTISSA_SPAN:
-            raise InvalidParameterError(
-                f"affected_mantissa_bits must be in [0, {MANTISSA_SPAN}]"
-            )
+        check_range("affected_mantissa_bits", self.affected_mantissa_bits, 0,
+                    MANTISSA_SPAN + 1)
 
     @property
     def is_zero(self) -> bool:
@@ -170,10 +164,9 @@ class Dataset:
 
 def two_moons(n: int, noise: float = 0.15, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Two interleaved half circles, shuffled; the bundled desk-scale task."""
-    if n < 2:
-        raise InvalidParameterError("need at least 2 points")
-    if noise < 0:
-        raise InvalidParameterError("noise must be non-negative")
+    check_int("n", n)
+    check_range("n", n, 2)
+    check_range("noise", noise, 0.0)
     rng = derive_stream(seed, _K_DATA)
     n_outer = n // 2
     n_inner = n - n_outer
@@ -213,20 +206,19 @@ class TinyNetSpec:
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         for i, size in enumerate(self.layer_sizes):
             check_int(f"layer_sizes[{i}]", size)
+            check_range(f"layer_sizes[{i}]", size, 1)
         for name in ("batch_size", "epochs", "seed"):
             check_int(name, getattr(self, name))
+        check_range("seed", self.seed, 0)
         if len(self.layer_sizes) < 2:
             raise InvalidParameterError("need at least input and output sizes")
-        if any(s < 1 for s in self.layer_sizes):
-            raise InvalidParameterError("layer sizes must be positive")
         if self.activation not in _ACTIVATIONS:
             raise InvalidParameterError(
                 f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
             )
-        if self.learning_rate <= 0:
-            raise InvalidParameterError("learning_rate must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidParameterError("batch_size and epochs must be >= 1")
+        check_range("learning_rate", self.learning_rate, POSITIVE)
+        check_range("batch_size", self.batch_size, 1)
+        check_range("epochs", self.epochs, 1)
 
 
 def _activation_pair(tag: str):
@@ -430,14 +422,15 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for i, seed in enumerate(self.seeds):
             check_int(f"seeds[{i}]", seed)
+            check_range(f"seeds[{i}]", seed, 0)
         for name in ("n_train", "n_test", "dataset_seed"):
             check_int(name, getattr(self, name))
+        check_range("dataset_seed", self.dataset_seed, 0)
         if not self.seeds:
             raise InvalidParameterError("need at least one seed")
-        if self.n_train < 1 or self.n_test < 1:
-            raise InvalidParameterError("n_train and n_test must be >= 1")
-        if self.noise < 0:
-            raise InvalidParameterError("noise must be non-negative")
+        check_range("n_train", self.n_train, 1)
+        check_range("n_test", self.n_test, 1)
+        check_range("noise", self.noise, 0.0)
 
     def dataset(self) -> Dataset:
         return make_moons_dataset(self.n_train, self.n_test, self.noise,

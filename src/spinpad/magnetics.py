@@ -79,11 +79,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    POSITIVE,
+    THROUGH_ONE,
     InsufficientDataError,
     InvalidFitError,
     InvalidParameterError,
     NumericalFailureError,
     check_int,
+    check_range,
 )
 
 KB_ERG = 1.380649e-16      # Boltzmann constant [erg/K]
@@ -118,20 +121,14 @@ class MtjDevice:
     gyromagnetic_ratio_oe: float = GYRO_OE
 
     def __post_init__(self):
-        if self.fl_thickness_nm <= 0 or self.lateral_x_nm <= 0 or self.lateral_y_nm <= 0:
-            raise InvalidParameterError("device dimensions must be positive")
-        if self.saturation_magnetization_emu_cc <= 0:
-            raise InvalidParameterError("saturation magnetization must be positive")
-        if not 0 < self.damping < 1:
-            raise InvalidParameterError("damping must lie in (0, 1)")
-        if self.temperature_k < 0:
-            raise InvalidParameterError("temperature must be >= 0 K")
-        if not 20.0 <= self.thermal_stability <= 100.0:
-            raise InvalidParameterError("thermal_stability must lie in [20, 100]")
-        if self.stt_efficiency_kbt_per_ua <= 0:
-            raise InvalidParameterError("stt_efficiency must be positive")
-        if self.gyromagnetic_ratio_oe <= 0:
-            raise InvalidParameterError("gyromagnetic ratio must be positive")
+        for name in ("fl_thickness_nm", "lateral_x_nm", "lateral_y_nm",
+                     "saturation_magnetization_emu_cc", "stt_efficiency_kbt_per_ua",
+                     "gyromagnetic_ratio_oe"):
+            check_range(name, getattr(self, name), POSITIVE)
+        check_range("damping", self.damping, POSITIVE, 1.0)
+        check_range("temperature_k", self.temperature_k, 0.0)
+        check_range("thermal_stability", self.thermal_stability, 20.0,
+                    math.nextafter(100.0, math.inf))
 
     @property
     def volume_cm3(self) -> float:
@@ -159,10 +156,8 @@ class WritePulse:
     duration_ns: float
 
     def __post_init__(self):
-        if not 0 <= self.amplitude_ua < math.inf:
-            raise InvalidParameterError("pulse amplitude must be finite and >= 0 uA")
-        if not 0 < self.duration_ns < math.inf:
-            raise InvalidParameterError("pulse duration must be finite and > 0 ns")
+        check_range("amplitude_ua", self.amplitude_ua, 0.0)
+        check_range("duration_ns", self.duration_ns, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -184,15 +179,12 @@ class MagSimConfig:
     def __post_init__(self):
         check_int("trials", self.trials)
         check_int("seed", self.seed)
-        if not 0 < self.time_step_ps <= 10.0:
-            raise InvalidParameterError("time_step_ps must lie in (0, 10]")
-        if self.relax_time_ns < 0:
-            raise InvalidParameterError("relax_time_ns must be >= 0")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        tilt = self.initial_tilt_rad
-        if tilt is not None and not 0.0 <= tilt < math.pi / 2:
-            raise InvalidParameterError(f"initial_tilt_rad must lie in [0, pi/2), got {tilt}")
+        check_range("time_step_ps", self.time_step_ps, POSITIVE, math.nextafter(10.0, math.inf))
+        check_range("relax_time_ns", self.relax_time_ns, 0.0)
+        check_range("trials", self.trials, 1)
+        check_range("seed", self.seed, 0)
+        if self.initial_tilt_rad is not None:
+            check_range("initial_tilt_rad", self.initial_tilt_rad, 0.0, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -203,12 +195,11 @@ class WerPoint:
     p_switch: float
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if not 0.0 <= self.p_switch <= 1.0:
-            raise InvalidParameterError(
-                f"p_switch must be in [0, 1], got {self.p_switch}"
-            )
+        check_range("amplitude_ua", self.amplitude_ua, 0.0)
+        check_range("duration_ns", self.duration_ns, POSITIVE)
+        check_int("trials", self.trials)
+        check_range("trials", self.trials, 1)
+        check_range("p_switch", self.p_switch, 0.0, THROUGH_ONE)
 
     @property
     def ln_wer(self) -> float:
@@ -270,10 +261,8 @@ class LnWerFit:
 
 def thermal_field_std_oe(device: MtjDevice, time_step_ps: float) -> float:
     """Per-component standard deviation of the thermal field, in Oe."""
-    if time_step_ps <= 0:
-        raise InvalidParameterError("time_step_ps must be > 0")
-    if device.volume_cm3 <= 0:
-        raise InvalidParameterError("device volume must be positive")
+    check_range("time_step_ps", time_step_ps, POSITIVE)
+    check_range("volume_cm3", device.volume_cm3, POSITIVE)
     dt_s = time_step_ps * 1e-12
     num = 2.0 * device.damping * KB_ERG * device.temperature_k
     den = (device.gyromagnetic_ratio_oe * device.saturation_magnetization_emu_cc
@@ -326,8 +315,7 @@ def derive_streams(seed: int, keys: list[tuple[int, ...]]):
     """
     np.random.bit_generator.ISeedSequence.register(_SpawnedKey)
     seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidParameterError("seed must be non-negative")
+    check_range("seed", seed, 0)
     table = np.array(keys, dtype=np.uint64)
     if (table >> np.uint64(32)).any():
         raise InvalidParameterError("stream key words must be < 2**32")
@@ -609,8 +597,8 @@ def run_wer_sweep(device: MtjDevice, amplitudes_ua, durations_ns,
     its own stream, so the result is identical however the points are
     grouped and however many workers run.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    check_int("workers", workers)
+    check_range("workers", workers, 1)
     amps = [float(a) for a in amplitudes_ua]
     groups = min(workers, len(amps))
     q, r = divmod(len(amps), max(groups, 1))  # the last r blocks take q + 1
@@ -656,8 +644,7 @@ def fit_ln_wer(curve: WerCurve, duration_ns: float) -> LnWerFit:
 
 def required_amplitude(fit: LnWerFit, target_wer: float) -> float:
     """Amplitude at which the fitted line reaches the target WER."""
-    if not 0.0 < target_wer < 1.0:
-        raise InvalidParameterError("target_wer must lie in (0, 1)")
+    check_range("target_wer", target_wer, POSITIVE, 1.0)
     if not fit.slope_per_ua < 0:
         raise InvalidFitError("fit slope must be negative")
     return (math.log(target_wer) - fit.intercept) / fit.slope_per_ua
@@ -673,8 +660,7 @@ def amplitude_ladder(fit: LnWerFit, targets=LADDER_TARGETS,
 
 def relative_write_energy(pulse: WritePulse, baseline: WritePulse) -> float:
     """(I/I0)^2 * (t/t0): write energy relative to a baseline pulse."""
-    if baseline.amplitude_ua <= 0:
-        raise InvalidParameterError("baseline amplitude must be > 0")
+    check_range("baseline amplitude_ua", baseline.amplitude_ua, POSITIVE)
     return ((pulse.amplitude_ua / baseline.amplitude_ua) ** 2
             * (pulse.duration_ns / baseline.duration_ns))
 

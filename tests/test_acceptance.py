@@ -207,8 +207,8 @@ def test_06_array_anchors_and_iso_area_bands():
                      "capacity ratio in [2.8, 3.2] and leakage ratio in "
                      "[1.9, 4.4] at every shared anchored area"):
         table = CalibrationTable()
-        sram = MemoryTechnology.sram()
-        mram = MemoryTechnology.mram_base()
+        sram = MemoryTechnology.from_name("sram")
+        mram = MemoryTechnology.from_name("mram_base")
         for tech, cells in ((sram, _SRAM_CELLS), (mram, _MRAM_CELLS)):
             for cap, expected in cells.items():
                 m = metrics_at_capacity(table, tech, cap)
@@ -239,9 +239,9 @@ def test_07_write_mode_factors():
     with check(7, 1, "relaxed write modes scale latency x0.47 and energy "
                      "x0.40 at WER 8e-4, exactly"):
         table = CalibrationTable()
-        base = metrics_at_capacity(table, MemoryTechnology.mram_base(), 512.0)
-        for tech in (MemoryTechnology.mram_low_voltage(),
-                     MemoryTechnology.mram_low_duration()):
+        base = metrics_at_capacity(table, MemoryTechnology.from_name("mram_base"), 512.0)
+        for tech in (MemoryTechnology.from_name("mram_low_voltage"),
+                     MemoryTechnology.from_name("mram_low_duration")):
             assert tech.write_latency_factor == 0.47
             assert tech.write_energy_factor == 0.40
             assert tech.wer == 8e-4
@@ -332,8 +332,8 @@ def test_10_system_energy_trend():
         workload = _toy_vgg()
         acc = AcceleratorConfig()
         sysc = SystemEnergyConfig()
-        sram = MemoryTechnology.sram()
-        mram = MemoryTechnology.mram_base()
+        sram = MemoryTechnology.from_name("sram")
+        mram = MemoryTechnology.from_name("mram_base")
         caps = [32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0]
         points = [compare_iso_capacity(workload, acc, c, sram, mram, sys=sysc)
                   for c in caps]
@@ -355,9 +355,9 @@ def test_11_hetero_write_energy():
     with check(11, 60, "all-mantissa remap gives word factor 0.56875 "
                        "(1.758x/word), which under a uniform mapping of every "
                        "store is also the system write gain (>= 1.7x)"):
-        seg = SegmentMap(sign=MemoryTechnology.mram_base(),
-                         exponent=MemoryTechnology.mram_base(),
-                         mantissa=MemoryTechnology.mram_low_duration(),
+        seg = SegmentMap(sign=MemoryTechnology.from_name("mram_base"),
+                         exponent=MemoryTechnology.from_name("mram_base"),
+                         mantissa=MemoryTechnology.from_name("mram_low_duration"),
                          mantissa_bits_on_optimized=23)
         res = hetero_write_energy(seg, 1.0)
         assert abs(res.word_energy_factor - 0.56875) < 1e-12

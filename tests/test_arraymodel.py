@@ -24,8 +24,8 @@ from spinpad.magnetics import LnWerFit, WER_BASELINE, WritePulse
 
 TABLE = CalibrationTable()
 CONFIGS = Path(__file__).parent.parent / "configs"
-SRAM = MemoryTechnology.sram()
-MRAM = MemoryTechnology.mram_base()
+SRAM = MemoryTechnology.from_name("sram")
+MRAM = MemoryTechnology.from_name("mram_base")
 
 # Measured anchor rows: capacity -> (area, rl, wl, re, we, leak)
 SRAM_ANCHORS = {
@@ -42,11 +42,11 @@ def test_technology_factories():
     assert SRAM.wer == 0.0
     assert (SRAM.write_latency_factor, SRAM.write_energy_factor) == (1.0, 1.0)
     assert MRAM.wer == WER_BASELINE
-    low = MemoryTechnology.mram_low_voltage()
+    low = MemoryTechnology.from_name("mram_low_voltage")
     assert low.write_latency_factor == LOW_MODE_LATENCY_FACTOR
     assert low.write_energy_factor == LOW_MODE_ENERGY_FACTOR
     assert low.wer == LOW_MODE_WER
-    dur = MemoryTechnology.mram_low_duration()
+    dur = MemoryTechnology.from_name("mram_low_duration")
     assert (dur.write_latency_factor, dur.write_energy_factor, dur.wer) == (
         low.write_latency_factor, low.write_energy_factor, low.wer)
     assert MemoryTechnology.from_name("sram") == SRAM
@@ -65,15 +65,15 @@ def test_technology_validation():
     with pytest.raises(InvalidParameterError):
         MemoryTechnology(TechnologyKind.MRAM_BASE, wer=0.0)
     with pytest.raises(InvalidParameterError):
-        MemoryTechnology.custom(0.0, 0.5, 1e-4)
+        MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 0.0, 0.5, 1e-4)
     with pytest.raises(InvalidParameterError):
-        MemoryTechnology.custom(1.5, 0.5, 1e-4)
+        MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.5, 0.5, 1e-4)
     with pytest.raises(InvalidParameterError):
-        MemoryTechnology.custom(0.5, 0.5, 1.0)
+        MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 0.5, 0.5, 1.0)
     # cheaper writes must cost reliability
     with pytest.raises(InvalidParameterError):
-        MemoryTechnology.custom(1.0, 0.5, WER_BASELINE)
-    MemoryTechnology.custom(1.0, 0.5, 1e-6)  # fine: wer above baseline
+        MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, 0.5, WER_BASELINE)
+    MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, 0.5, 1e-6)  # wer above baseline
 
 
 def test_array_metrics_validation():
@@ -100,7 +100,7 @@ def test_measured_anchors_reproduced_exactly(tech, anchors):
 def test_wer_comes_from_technology():
     assert metrics_at_capacity(TABLE, SRAM, 183.0).wer == 0.0
     assert metrics_at_capacity(TABLE, MRAM, 512.0).wer == WER_BASELINE
-    low = MemoryTechnology.mram_low_voltage()
+    low = MemoryTechnology.from_name("mram_low_voltage")
     assert metrics_at_capacity(TABLE, low, 512.0).wer == LOW_MODE_WER
 
 
@@ -136,7 +136,7 @@ def test_guard_band_clamps_then_errors():
 
 
 def test_low_mode_write_costs():
-    m = metrics_at_capacity(TABLE, MemoryTechnology.mram_low_voltage(), 512.0)
+    m = metrics_at_capacity(TABLE, MemoryTechnology.from_name("mram_low_voltage"), 512.0)
     assert m.write_latency_ns == pytest.approx(4.794, rel=1e-12)
     assert m.write_energy_pj == pytest.approx(0.6, rel=1e-12)
     assert m.wer == LOW_MODE_WER
@@ -152,9 +152,9 @@ def test_apply_write_mode_identity_and_guards():
     assert apply_write_mode(base, MRAM) == base
     with pytest.raises(InvalidParameterError):
         apply_write_mode(base, SRAM)
-    moded = apply_write_mode(base, MemoryTechnology.mram_low_voltage())
+    moded = apply_write_mode(base, MemoryTechnology.from_name("mram_low_voltage"))
     with pytest.raises(InvalidParameterError):
-        apply_write_mode(moded, MemoryTechnology.mram_low_voltage())  # already moded
+        apply_write_mode(moded, MemoryTechnology.from_name("mram_low_voltage"))  # already moded
 
 
 def test_capacity_at_area_anchor_exact():
@@ -267,7 +267,7 @@ def test_table_validation():
 
 
 def test_mram_modes_share_base_anchors():
-    low = MemoryTechnology.mram_low_voltage()
+    low = MemoryTechnology.from_name("mram_low_voltage")
     assert TABLE.anchors_for(TechnologyKind.MRAM_LOW_VOLTAGE) == TABLE.anchors_for(
         TechnologyKind.MRAM_BASE
     )

@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpad import energy
-from spinpad.arraymodel import CalibrationTable, MemoryTechnology, metrics_at_capacity
+from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
+                                metrics_at_capacity)
 from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
 from spinpad.dataflow import AcceleratorConfig
 from spinpad.energy import SystemEnergyConfig
 from spinpad.errors import ConfigError
-from spinpad.errortrain import TinyNetSpec, make_moons_dataset, train_reference
+from spinpad.errortrain import (BufferErrorBinding, ExperimentConfig, SegmentErrorConfig,
+                                TinyNetSpec, make_moons_dataset, train_reference)
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
 
 
@@ -462,12 +464,15 @@ def test_system_compare_rejects_accelerator_clock(tmp_path, capsys):
 _NUMERIC_FIELDS = ([("accelerator", f.name) for f in fields(AcceleratorConfig)]
                    + [("system", f.name) for f in fields(SystemEnergyConfig)])
 
+# json.load reads NaN and +-Infinity; every number of a config meets them and
+# a bool, which Python would otherwise compare as 0 or 1
+_NOT_NUMBERS = ["NaN", "Infinity", "-Infinity", "true"]
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
 @pytest.mark.parametrize("section,key", _NUMERIC_FIELDS + [(None, "sweep")])
 def test_non_finite_system_compare_number_exits_one(tmp_path, capsys, section, key,
                                                     value):
-    # json.load reads NaN and +-Infinity; every number of the config meets them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"sweep": [32.0, {value}]}}' if section is None else
                    f'{{"sweep": [32.0], "{section}": {{"{key}": {value}}}}}')
@@ -768,6 +773,68 @@ def test_error_train_default_config_is_bundled_experiment(tmp_path):
     assert exp["layer_sizes"] == [2, 32, 32, 2]
     assert exp["noise"] == 0.3
     assert exp["binding"]["weights"]["mantissa_wer"] == 1e-3
+
+
+# ------------------------------------------------------- config numbers
+
+
+def _numbers(cls) -> list[str]:
+    """The fields of a config dataclass that hold one number (or None)."""
+    return [f.name for f in fields(cls) if f.type.split(" |")[0] in ("int", "float")]
+
+
+_CUSTOM_TECH = {"write_latency_factor": 0.47, "write_energy_factor": 0.4, "wer": 8e-4}
+
+# (command, a valid config, the path of the key's section in it, the key)
+_CONFIG_NUMBERS = (
+    [("wer-sweep", {}, ("device",), k) for k in _numbers(MtjDevice)]
+    + [("wer-sweep", {}, ("simulation",), k) for k in _numbers(MagSimConfig)]
+    + [("hetero-write", {}, (), k) for k in _numbers(_COMMANDS["hetero-write"][0])]
+    + [("error-train", _experiment(), (), k)
+       for k in _numbers(TinyNetSpec) + _numbers(ExperimentConfig)]
+    + [("error-train", _experiment(), ("binding", store.name), k)
+       for store in fields(BufferErrorBinding) for k in _numbers(SegmentErrorConfig)]
+    + [("system-compare", {"sweep": [32.0], "tech_b": _CUSTOM_TECH}, ("tech_b",), k)
+       for k in _numbers(MemoryTechnology)]
+)
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("command,base,path,key", _CONFIG_NUMBERS,
+                         ids=[f"{c}-{':'.join(p + (k,))}" for c, _, p, k in _CONFIG_NUMBERS])
+def test_non_number_in_config_exits_one_naming_the_key(tmp_path, capsys, command, base,
+                                                       path, key, value):
+    doc = json.loads(json.dumps(base))
+    section = doc
+    for name in path:
+        section = section.setdefault(name, {})
+    section[key] = "PLACEHOLDER"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"PLACEHOLDER"', value))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert re.search(re.escape(": ".join(path + (key,))) + " must be", err), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+_CSV_NUMBERS = [f.name for f in fields(ArrayMetrics)]
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("column", _CSV_NUMBERS)
+def test_non_number_in_calibration_csv_exits_one(tmp_path, capsys, column, value):
+    lines = (CONFIGS / "calibration_default.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    row[header.index(column)] = value
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+    out = tmp_path / "o"
+    for argv in (("array-sweep",), ("system-compare", "--sweep", "512.0")):
+        assert run_cli(*argv, "--calibration", str(csv_path), "--out", str(out)) == 1
+        assert f"{csv_path}:2: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 # ----------------------------------------------------------------- rerun

@@ -25,6 +25,7 @@ from spinpad.dataflow import (
     activation_elements,
     count_phase_accesses,
     gemm_view,
+    layer_from_dict,
     load_workload,
     out_dims,
     output_elements,
@@ -42,8 +43,8 @@ from spinpad.errors import (
 BIG = AcceleratorConfig(activation_buffer_kb=64, weight_buffer_kb=64,
                         error_buffer_kb=64)
 CANON_CONV = Conv(1, 1, 4, 4, 1, 3, 1, 0)
-SRAM = MemoryTechnology.sram()
-MRAM = MemoryTechnology.mram_base()
+SRAM = MemoryTechnology.from_name("sram")
+MRAM = MemoryTechnology.from_name("mram_base")
 
 TOY_VGG = Path(__file__).parent.parent / "configs" / "workload_vgg_toy.txt"
 GEMM_PHASES = (Phase.FORWARD, Phase.BACKWARD_INPUT_GRAD, Phase.BACKWARD_WEIGHT_GRAD)
@@ -72,11 +73,11 @@ def test_out_dims():
 
 
 def test_layer_validation():
-    with pytest.raises(InvalidLayerError):
+    with pytest.raises(InvalidParameterError):
         Conv(0, 1, 4, 4, 1, 3)
-    with pytest.raises(InvalidLayerError):
+    with pytest.raises(InvalidParameterError):
         Conv(1, 1, 4, 4, 1, 3, padding=-1)
-    with pytest.raises(InvalidLayerError):
+    with pytest.raises(InvalidParameterError):
         FullyConnected(1, 0, 4)
 
 
@@ -302,10 +303,11 @@ def test_load_workload(tmp_path):
 @pytest.mark.parametrize("body,match", [
     ("pool b=1 k=2\n", "unknown layer kind"),
     ("conv b=1 i=1 m=4 n=4 o=1\n", "missing"),
-    ("conv b=1 i=1 m=4 n=4 o=1 k=3 dilation=2\n", "unknown field"),
+    ("conv b=1 i=1 m=4 n=4 o=1 k=3 dilation=2\n", "unknown key"),
     ("fc b=1 in=abc out=4\n", "integer"),
     ("fc b=1 in 4\n", "key=value"),
     ("conv b=1 i=1 m=4 n=4 o=1 k=9\n", "kernel"),
+    ("fc b=1 batch=2 in=4 out=4\n", "batch given twice"),
     ("", "no layers"),
 ])
 def test_load_workload_errors(tmp_path, body, match):
@@ -313,6 +315,21 @@ def test_load_workload_errors(tmp_path, body, match):
     path.write_text(body)
     with pytest.raises(ConfigError, match=match):
         load_workload(path)
+
+
+@pytest.mark.parametrize("raw,match", [
+    ({"batch": 1, "in_features": 4, "out_features": 4}, "needs a 'kind'"),
+    ([1, 2], "needs a 'kind'"),
+    ({"kind": "pool", "batch": 1}, "unknown layer kind"),
+    ({"kind": ["fc"], "batch": 1}, "unknown layer kind"),
+    ({"kind": "fc", "batch": 1, "in_features": 4}, "missing"),
+    ({"kind": "fc", "batch": 1, "in_features": 4, "out_features": 4, "bias": 1},
+     "unknown key"),
+    ({"kind": "fc", "batch": 1.0, "in_features": 4, "out_features": 4}, "integer"),
+])
+def test_layer_from_dict_errors(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        layer_from_dict(raw, "workload[0]")
 
 
 @given(

@@ -9,6 +9,7 @@ from spinpad.arraymodel import (
     ArrayMetrics,
     CalibrationTable,
     MemoryTechnology,
+    TechnologyKind,
     metrics_at_capacity,
 )
 from spinpad.dataflow import (
@@ -36,8 +37,8 @@ from spinpad.cli import _COMMANDS, build_parser
 from spinpad.errors import ConfigError, InvalidParameterError
 
 TABLE = CalibrationTable()
-SRAM = MemoryTechnology.sram()
-MRAM = MemoryTechnology.mram_base()
+SRAM = MemoryTechnology.from_name("sram")
+MRAM = MemoryTechnology.from_name("mram_base")
 CFG = AcceleratorConfig()
 ANCHOR_CAPS = [32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0]
 
@@ -304,7 +305,7 @@ def test_word_bit_layout():
 
 
 def test_segment_map_validates_mantissa_span():
-    low = MemoryTechnology.mram_low_duration()
+    low = MemoryTechnology.from_name("mram_low_duration")
     for bad in (-1, 24):
         with pytest.raises(InvalidParameterError):
             SegmentMap(sign=MRAM, exponent=MRAM, mantissa=low,
@@ -321,7 +322,7 @@ def test_hetero_identity_mapping():
 
 def test_hetero_mantissa_on_optimized():
     seg = SegmentMap(sign=MRAM, exponent=MRAM,
-                     mantissa=MemoryTechnology.mram_low_duration())
+                     mantissa=MemoryTechnology.from_name("mram_low_duration"))
     res = hetero_write_energy(seg, 1.0)
     # (1 + 8 + 0.40 * 23) / 32
     assert res.word_energy_factor == pytest.approx(0.56875, abs=1e-12)
@@ -329,7 +330,7 @@ def test_hetero_mantissa_on_optimized():
 
 
 def test_hetero_partial_mantissa_span():
-    low = MemoryTechnology.mram_low_duration()
+    low = MemoryTechnology.from_name("mram_low_duration")
     seg = SegmentMap(sign=MRAM, exponent=MRAM, mantissa=low,
                      mantissa_bits_on_optimized=16)
     # unoptimized mantissa bits ride with the exponent segment
@@ -353,8 +354,8 @@ def test_hetero_rejects_nonpositive_bit_energy():
 def test_hetero_word_energy_bounded(f_sign, f_exp, f_mant, n, bit_pj):
     def tech(factor):
         if factor == 1.0:
-            return MemoryTechnology.mram_base()
-        return MemoryTechnology.custom(1.0, factor, 8e-4)
+            return MemoryTechnology.from_name("mram_base")
+        return MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, factor, 8e-4)
 
     seg = SegmentMap(sign=tech(f_sign), exponent=tech(f_exp),
                      mantissa=tech(f_mant), mantissa_bits_on_optimized=n)
