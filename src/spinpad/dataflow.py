@@ -16,17 +16,21 @@ buffer's oldest tensors first and never writes anything back. Forward places
 tensors only in the activation and weight buffers and backward only in the
 error buffer, so no buffer holds tensors of both passes. A tensor loaded
 from DRAM charges one DRAM read per element when placed; a tensor that does
-not fit stays in DRAM and every streamed access goes there instead. Weight gradients live in the error
-buffer; the loss gradient at the top of the network materializes in place,
-free of charge. Under this policy DRAM traffic can rise with capacity between
-nearby points: a tensor that newly fits can push out one that is read later.
+not fit stays in DRAM and every streamed access goes there instead. Weight
+gradients live in the error buffer; the loss gradient at the top of the
+network materializes in place, free of charge. Every element is a binary32
+word of ELEMENT_BYTES bytes. Under this policy DRAM traffic can rise with
+capacity between nearby points: a tensor that newly fits can push out one
+that is read later.
 
 A trace is built in two steps. The schedule, built once per (workload,
 rows, cols), holds each tensor's home buffer and size, every placement and
 access in order with its GEMM counts, and the compute per phase. Each
 tensor's accesses are in schedule order, so its last read is known before
 any capacity is. The replay, run per capacity, makes only the FIFO placement
-decisions and counts each access under its tensor's buffer or DRAM.
+decisions and adds each access to its phase's count under its tensor's
+buffer or DRAM. The trace keeps no per-layer counts; tests/oracles.py
+`reference_iteration` answers per-layer questions with the same counts.
 
 Every placement compares a tensor's bytes with its buffer's capacity, so a
 trace also carries, per store, the byte range [lo, hi) of capacities over
@@ -62,6 +66,9 @@ class Store(str, Enum):
     WEIGHT = "weight"
     ERROR = "error"
     DRAM = "dram"
+
+
+ELEMENT_BYTES = 4  # binary32
 
 
 def _check_counts(shape) -> None:
@@ -110,16 +117,14 @@ class AcceleratorConfig:
     activation_buffer_kb: float = 1024.0
     weight_buffer_kb: float = 1024.0
     error_buffer_kb: float = 1024.0
-    element_size_bytes: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("rows", "cols", "element_size_bytes"):
+        for name in ("rows", "cols"):
             check_int(name, getattr(self, name))
         check_range("rows", self.rows, 1)
         check_range("cols", self.cols, 1)
         for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
             check_range(name, getattr(self, name), POSITIVE)
-        check_range("element_size_bytes", self.element_size_bytes, 4, 5)  # binary32 only
 
     def buffer_bytes(self, store: Store) -> int:
         kb = {
@@ -217,48 +222,30 @@ class AccessTrace:
     """Read/write counts of one training iteration, plus compute totals.
 
     `totals[(phase, store)]` is [reads, writes] and `phase_compute[phase]` is
-    (macs, cycles); the getters and the energy model read only these.
-    `accesses[(layer, phase, store)]` and `compute[(layer, phase)]` hold the
-    same counts per layer, the record tests compare with the reference model
-    in tests/oracles.py. The replay of the schedule fills `totals` and
-    `accesses` in schedule order, so each tensor's accesses, and its last
-    read, come in a known order; `compute` and `phase_compute` are copies of
-    the schedule's. The benchmark reads `dram_elements()` and `total_cycles()`.
+    (macs, cycles), each summed over the layers; the energy model reads them
+    directly, a key the trace lacks counting as zero. The benchmark reads
+    `dram_elements()` and `total_cycles()`.
 
     `capacity_range[store]` is the byte range [lo, hi) of that buffer's
     capacity over which every placement decision of simulate_iteration comes
     out the same (hi may be inf). The stores decide independently, so the
     trace built at any capacities inside all three ranges, with the same
-    workload, rows and cols, equals this one record for record.
+    workload, rows and cols, equals this one.
     """
 
     totals: dict[tuple[Phase, Store], list[int]] = field(default_factory=dict)
     phase_compute: dict[Phase, tuple[int, int]] = field(default_factory=dict)
-    accesses: dict[tuple[int, Phase, Store], list[int]] = field(default_factory=dict)
-    compute: dict[tuple[int, Phase], tuple[int, int]] = field(default_factory=dict)
     capacity_range: dict[Store, list[int | float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._dram = sum(self.phase_reads(phase, Store.DRAM)
-                         + self.phase_writes(phase, Store.DRAM) for phase in Phase)
+        self._dram = sum(sum(self.totals.get((phase, Store.DRAM), (0, 0)))
+                         for phase in Phase)
 
     def dram_elements(self) -> int:
         return self._dram
 
     def total_cycles(self) -> int:
-        return sum(self.phase_cycles(phase) for phase in Phase)
-
-    def phase_macs(self, phase: Phase) -> int:
-        return self.phase_compute.get(phase, (0, 0))[0]
-
-    def phase_cycles(self, phase: Phase) -> int:
-        return self.phase_compute.get(phase, (0, 0))[1]
-
-    def phase_reads(self, phase: Phase, store: Store) -> int:
-        return self.totals.get((phase, store), (0, 0))[0]
-
-    def phase_writes(self, phase: Phase, store: Store) -> int:
-        return self.totals.get((phase, store), (0, 0))[1]
+        return sum(cycles for _, cycles in self.phase_compute.values())
 
 
 _BUFFERS = (Store.ACTIVATION, Store.WEIGHT, Store.ERROR)
@@ -266,43 +253,44 @@ _PLACE, _ACCESS = range(2)  # schedule event kinds
 
 
 @lru_cache(maxsize=64)
-def _schedule(workload: tuple[LayerSpec, ...], rows: int, cols: int, element_bytes: int):
+def _schedule(workload: tuple[LayerSpec, ...], rows: int, cols: int):
     """Everything about one iteration that no buffer capacity changes.
 
-    Returns (sizes, homes, events, compute, phase_compute). Tensor t has
-    sizes[t] bytes and lives in buffer homes[t], an index into _BUFFERS.
-    `events` is the iteration in order:
+    Returns (sizes, homes, events, phase_compute). Tensor t has sizes[t]
+    bytes and lives in buffer homes[t], an index into _BUFFERS. `events` is
+    the iteration in order:
       (_PLACE, t, elements, loaded): place t; if t is loaded from DRAM, a
-        placement charges `elements` DRAM reads under loaded, as below (the
-        buffer's fill writes are not metered);
+        placement charges `elements` DRAM reads under the key
+        loaded = (phase, DRAM) (the buffer's fill writes are not metered);
       (_ACCESS, t, reads, writes, on_chip, in_dram): one stream of a GEMM or
-        of the weight update, counted under on_chip = ((layer, phase, home),
-        (phase, home)) while t is resident, else under in_dram.
+        of the weight update, counted under the key on_chip = (phase, home)
+        while t is resident, else under in_dram = (phase, DRAM).
+    `phase_compute[phase]` is (macs, cycles) summed over the layers.
     """
     array = AcceleratorConfig(rows=rows, cols=cols)
-    homes, elements, events, compute = [], [], [], {}
+    homes, elements, events = [], [], []
+    phase_compute = dict.fromkeys(Phase, (0, 0))
 
     def tensor(store: Store, n: int) -> int:
         homes.append(_BUFFERS.index(store))
         elements.append(n)
         return len(homes) - 1
 
-    def place(t: int, layer: int | None = None, phase: Phase | None = None) -> None:
-        loaded = None if layer is None else ((layer, phase, Store.DRAM), (phase, Store.DRAM))
+    def place(t: int, phase: Phase | None = None) -> None:
+        loaded = None if phase is None else (phase, Store.DRAM)
         events.append((_PLACE, t, elements[t], loaded))
 
-    def access(t: int, layer: int, phase: Phase, reads: int, writes: int) -> None:
-        home = _BUFFERS[homes[t]]
-        events.append((_ACCESS, t, reads, writes, ((layer, phase, home), (phase, home)),
-                       ((layer, phase, Store.DRAM), (phase, Store.DRAM))))
+    def access(t: int, phase: Phase, reads: int, writes: int) -> None:
+        events.append((_ACCESS, t, reads, writes, (phase, _BUFFERS[homes[t]]),
+                       (phase, Store.DRAM)))
 
-    def gemm(l: int, layer: LayerSpec, phase: Phase, row_t: int, col_t: int,
-             out_t: int) -> None:
+    def gemm(layer: LayerSpec, phase: Phase, row_t: int, col_t: int, out_t: int) -> None:
         counts = count_phase_accesses(gemm_view(layer, phase), array)
-        access(row_t, l, phase, counts.row_reads, 0)
-        access(col_t, l, phase, counts.col_reads, 0)
-        access(out_t, l, phase, 0, counts.result_writes)
-        compute[(l, phase)] = (counts.macs, counts.cycles)
+        access(row_t, phase, counts.row_reads, 0)
+        access(col_t, phase, counts.col_reads, 0)
+        access(out_t, phase, 0, counts.result_writes)
+        macs, cycles = phase_compute[phase]
+        phase_compute[phase] = (macs + counts.macs, cycles + counts.cycles)
 
     n_layers = len(workload)
     acts = [tensor(Store.ACTIVATION, activation_elements(workload[0]))]
@@ -311,32 +299,27 @@ def _schedule(workload: tuple[LayerSpec, ...], rows: int, cols: int, element_byt
     errs = [tensor(Store.ERROR, elements[t]) for t in acts]
     wgrads = [None] + [tensor(Store.ERROR, elements[t]) for t in weights[1:]]
 
-    place(acts[0], 1, Phase.FORWARD)
+    place(acts[0], Phase.FORWARD)
     for l, layer in enumerate(workload, start=1):
-        place(weights[l], l, Phase.FORWARD)
+        place(weights[l], Phase.FORWARD)
         place(acts[l])  # produced on chip, no DRAM fill
-        gemm(l, layer, Phase.FORWARD, acts[l - 1], weights[l], acts[l])
+        gemm(layer, Phase.FORWARD, acts[l - 1], weights[l], acts[l])
 
     place(errs[n_layers])  # loss gradient materializes in place
 
     for l in range(n_layers, 0, -1):
         layer = workload[l - 1]
         place(errs[l - 1])
-        gemm(l, layer, Phase.BACKWARD_INPUT_GRAD, errs[l], weights[l], errs[l - 1])
+        gemm(layer, Phase.BACKWARD_INPUT_GRAD, errs[l], weights[l], errs[l - 1])
         place(wgrads[l])
-        gemm(l, layer, Phase.BACKWARD_WEIGHT_GRAD, errs[l], acts[l - 1], wgrads[l])
+        gemm(layer, Phase.BACKWARD_WEIGHT_GRAD, errs[l], acts[l - 1], wgrads[l])
 
     for l in range(1, n_layers + 1):
         w = elements[weights[l]]
-        access(weights[l], l, Phase.WEIGHT_UPDATE, w, w)
-        access(wgrads[l], l, Phase.WEIGHT_UPDATE, w, 0)
-        compute[(l, Phase.WEIGHT_UPDATE)] = (0, 0)
+        access(weights[l], Phase.WEIGHT_UPDATE, w, w)
+        access(wgrads[l], Phase.WEIGHT_UPDATE, w, 0)
 
-    phase_compute = {}
-    for (_, phase), (macs, cycles) in compute.items():
-        m, c = phase_compute.get(phase, (0, 0))
-        phase_compute[phase] = (m + macs, c + cycles)
-    return [n * element_bytes for n in elements], homes, events, compute, phase_compute
+    return [n * ELEMENT_BYTES for n in elements], homes, events, phase_compute
 
 
 def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> AccessTrace:
@@ -348,20 +331,18 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
     """
     if not workload:
         raise InvalidParameterError("workload is empty")
-    sizes, homes, events, compute, phase_compute = _schedule(
-        tuple(workload), cfg.rows, cfg.cols, cfg.element_size_bytes)
+    sizes, homes, events, phase_compute = _schedule(tuple(workload), cfg.rows, cfg.cols)
     capacity = [cfg.buffer_bytes(store) for store in _BUFFERS]
     used = [0, 0, 0]
     pools = [[], [], []]  # resident tensors per buffer, oldest first
     bounds = [[0, inf], [0, inf], [0, inf]]  # [lo, hi) per buffer, see below
     resident = [False] * len(sizes)
-    accesses: dict[tuple[int, Phase, Store], list[int]] = {}
     totals = {(phase, store): [0, 0] for phase in Phase for store in Store}
     for ev in events:
         kind, t = ev[0], ev[1]
         if kind == _ACCESS:
             reads, writes = ev[2], ev[3]
-            key, total = ev[4] if resident[t] else ev[5]
+            key = ev[4] if resident[t] else ev[5]
         else:
             # Each comparison of a size with a capacity narrows the home
             # buffer's range to the capacities that decide it the same way.
@@ -381,18 +362,11 @@ def simulate_iteration(workload: list[LayerSpec], cfg: AcceleratorConfig) -> Acc
             resident[t] = True
             if ev[3] is None:
                 continue
-            reads, writes, (key, total) = ev[2], 0, ev[3]
-        cell = accesses.get(key)
-        if cell is None:
-            accesses[key] = [reads, writes]
-        else:
-            cell[0] += reads
-            cell[1] += writes
-        cell = totals[total]
+            reads, writes, key = ev[2], 0, ev[3]
+        cell = totals[key]
         cell[0] += reads
         cell[1] += writes
-    return AccessTrace(totals, dict(phase_compute), accesses, dict(compute),
-                       dict(zip(_BUFFERS, bounds)))
+    return AccessTrace(totals, dict(phase_compute), dict(zip(_BUFFERS, bounds)))
 
 
 # each layer kind, and the short keys of its workload-file line

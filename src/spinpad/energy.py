@@ -22,7 +22,7 @@ segment's array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .arraymodel import (
     ArrayMetrics,
@@ -77,17 +77,6 @@ class PhaseEnergy:
     def total_nj(self) -> float:
         return self.dram_nj + self.onchip_nj + self.leakage_nj + self.compute_nj
 
-
-@dataclass(frozen=True)
-class EnergyReport:
-    dram_nj: float
-    onchip_nj: float
-    leakage_nj: float
-    compute_nj: float
-    total_nj: float
-    time_ns: float
-    per_phase: dict[Phase, PhaseEnergy] = field(default_factory=dict)
-
     def components(self) -> dict[str, float]:
         return {
             "dram_nj": self.dram_nj,
@@ -97,61 +86,55 @@ class EnergyReport:
         }
 
     def as_dict(self) -> dict:
-        out = dict(self.components())
-        out["total_nj"] = self.total_nj
-        out["time_ns"] = self.time_ns
-        out["per_phase"] = {
-            phase.value: {
-                "dram_nj": pe.dram_nj,
-                "onchip_nj": pe.onchip_nj,
-                "leakage_nj": pe.leakage_nj,
-                "compute_nj": pe.compute_nj,
-                "total_nj": pe.total_nj,
-                "time_ns": pe.time_ns,
-            }
-            for phase, pe in self.per_phase.items()
-        }
-        return out
+        return {**self.components(), "total_nj": self.total_nj, "time_ns": self.time_ns}
+
+
+@dataclass(frozen=True)
+class EnergyReport(PhaseEnergy):
+    """One iteration: each component is the sum of its per-phase values."""
+
+    per_phase: dict[Phase, PhaseEnergy]
+
+    def as_dict(self) -> dict:
+        return {**super().as_dict(), "per_phase": {
+            phase.value: pe.as_dict() for phase, pe in self.per_phase.items()}}
 
 
 def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
                     err: ArrayMetrics, sys: SystemEnergyConfig) -> EnergyReport:
     """Energy and serialized-time report for one iteration's trace.
 
-    Reads the trace's per-(phase, store) and per-phase totals, not its per-key record.
+    Reads the trace's per-(phase, store) totals and per-phase compute; a key
+    the trace lacks counts as zero.
     """
     buffers = ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))
     leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
+    totals = trace.totals
     per_phase: dict[Phase, PhaseEnergy] = {}
     for phase in Phase:
-        dram_elems = (trace.phase_reads(phase, Store.DRAM)
-                      + trace.phase_writes(phase, Store.DRAM))
-        dram_accesses = dram_elems / sys.dram_burst_elements
+        reads, writes = totals.get((phase, Store.DRAM), (0, 0))
+        dram_accesses = (reads + writes) / sys.dram_burst_elements
         dram_nj = dram_accesses * sys.dram_energy_per_access_nj
+        macs, cycles = trace.phase_compute.get(phase, (0, 0))
         onchip_pj = 0.0
-        time_ns = trace.phase_cycles(phase) / sys.clock_ghz
+        time_ns = cycles / sys.clock_ghz
         time_ns += dram_accesses * sys.dram_latency_ns
         for store, metrics in buffers:
-            reads = trace.phase_reads(phase, store)
-            writes = trace.phase_writes(phase, store)
+            reads, writes = totals.get((phase, store), (0, 0))
             onchip_pj += reads * metrics.read_energy_pj
             onchip_pj += writes * metrics.write_energy_pj
             time_ns += reads * metrics.read_latency_ns
             time_ns += writes * metrics.write_latency_ns
-        compute_nj = trace.phase_macs(phase) * sys.mac_energy_pj / 1e3
+        compute_nj = macs * sys.mac_energy_pj / 1e3
         leakage_nj = leak_mw * time_ns / 1e3  # mW * ns = pJ
         per_phase[phase] = PhaseEnergy(dram_nj, onchip_pj / 1e3, leakage_nj,
                                        compute_nj, time_ns)
-    total = PhaseEnergy(
-        sum(p.dram_nj for p in per_phase.values()),
-        sum(p.onchip_nj for p in per_phase.values()),
-        sum(p.leakage_nj for p in per_phase.values()),
-        sum(p.compute_nj for p in per_phase.values()),
-        sum(p.time_ns for p in per_phase.values()),
-    )
-    return EnergyReport(total.dram_nj, total.onchip_nj, total.leakage_nj,
-                        total.compute_nj, total.total_nj, total.time_ns,
-                        per_phase)
+    phases = per_phase.values()
+    return EnergyReport(sum(p.dram_nj for p in phases),
+                        sum(p.onchip_nj for p in phases),
+                        sum(p.leakage_nj for p in phases),
+                        sum(p.compute_nj for p in phases),
+                        sum(p.time_ns for p in phases), per_phase)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spinpad.dataflow import (Phase, Store, activation_elements, count_phase_accesses,
-                              gemm_view, output_elements, weight_elements)
+from spinpad.dataflow import (ELEMENT_BYTES, Phase, Store, activation_elements,
+                              count_phase_accesses, gemm_view, output_elements,
+                              weight_elements)
 from spinpad.errors import InvalidParameterError
 from spinpad.errortrain import _activation_pair, _backprop, init_params, inject_tensor
 from spinpad.magnetics import _default_tilt, _integrate_batch, _llg_chunk, derive_stream
@@ -316,18 +317,19 @@ def heun_llg_reference(rngs, sigma, hk, alpha, pre, dt, state, aj, steps):
     return (mx, my, mz, point), first
 
 
-def phase_totals(trace):
-    """Per-phase totals of an access trace, by scanning its per-key record.
+def phase_totals(ref):
+    """A ReferenceTrace's per-key record summed per phase.
 
-    Returns ({(phase, store): (reads, writes)}, {phase: (macs, cycles)}) with
-    an entry for every phase and store that occurs in the trace's keys.
+    Returns ({(phase, store): [reads, writes]}, {phase: (macs, cycles)}): the
+    first has an entry for every phase and store, [0, 0] where the record has
+    none, and the second an entry for every phase that occurs in its keys.
     """
-    access = {}
-    for (_, phase, store), (reads, writes) in trace.accesses.items():
-        r, w = access.get((phase, store), (0, 0))
-        access[(phase, store)] = (r + reads, w + writes)
+    access = {(phase, store): [0, 0] for phase in Phase for store in Store}
+    for (_, phase, store), (reads, writes) in ref.accesses.items():
+        access[(phase, store)][0] += reads
+        access[(phase, store)][1] += writes
     compute = {}
-    for (_, phase), (macs, cycles) in trace.compute.items():
+    for (_, phase), (macs, cycles) in ref.compute.items():
         m, c = compute.get(phase, (0, 0))
         compute[phase] = (m + macs, c + cycles)
     return access, compute
@@ -336,12 +338,15 @@ def phase_totals(trace):
 # ------------------------------------------------ dataflow reference model
 # The object-based FIFO model that spinpad.dataflow.simulate_iteration
 # replaced with a schedule built once and a replay per capacity: one _Tensor
-# per tensor, one place call per placement and one add per access.
+# per tensor, one place call per placement and one add per access. Its
+# per-key record also answers per-layer questions, such as a layer's weight
+# gradient writes, that the trace's per-phase totals do not.
 
 
 @dataclass
 class ReferenceTrace:
-    """The per-key record of one iteration, filled one access at a time."""
+    """The per-(layer, phase, store) record of one iteration, filled one
+    access at a time, and the per-(layer, phase) compute."""
 
     accesses: dict = field(default_factory=dict)
     compute: dict = field(default_factory=dict)
@@ -362,8 +367,8 @@ class _Tensor:
     era: int = 0  # 0 = placed during forward, 1 = during backward
     seq: int = -1  # arrival order
 
-    def bytes(self, cfg):
-        return self.elements * cfg.element_size_bytes
+    def bytes(self):
+        return self.elements * ELEMENT_BYTES
 
     def location(self):
         return self.home if self.resident else Store.DRAM
@@ -373,7 +378,6 @@ class _Buffers:
     """FIFO scratchpad state for the three on-chip buffers."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
         self.resident = {Store.ACTIVATION: [], Store.WEIGHT: [], Store.ERROR: []}
         self.capacity = {store: cfg.buffer_bytes(store) for store in self.resident}
         self.used = dict.fromkeys(self.resident, 0)  # bytes of resident[store]
@@ -393,12 +397,12 @@ class _Buffers:
                 victim = min(pool, key=lambda t: t.seq)
         pool.remove(victim)
         victim.resident = False
-        self.used[store] -= victim.bytes(self.cfg)
+        self.used[store] -= victim.bytes()
 
     def place(self, tensor):
         """Try to make a tensor resident in its home buffer; True if placed."""
         store = tensor.home
-        size = tensor.bytes(self.cfg)
+        size = tensor.bytes()
         bound = self.bounds[store]
         if size > self.capacity[store]:
             bound[1] = min(bound[1], size)

@@ -307,8 +307,7 @@ def test_09_buffer_monotonicity():
                                 error_buffer_kb=one_element_kb)
         trace = simulate_iteration(workload, cfg)
         for store in ("activation", "weight", "error"):
-            assert all(trace.phase_reads(phase, store) == 0 for phase in Phase)
-            assert all(trace.phase_writes(phase, store) == 0 for phase in Phase)
+            assert all(trace.totals[(phase, store)] == [0, 0] for phase in Phase)
 
 
 # --- 10: system-level energy trend on the reference configuration

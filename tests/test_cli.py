@@ -452,13 +452,15 @@ def test_system_compare_workload_file_embedded_in_manifest(tmp_path):
     assert_rerun_identical(out, tmp_path)
 
 
-def test_system_compare_rejects_accelerator_clock(tmp_path, capsys):
-    # the one clock is the system config's; the accelerator has none
+# the one clock is the system config's, and every element is a binary32 word:
+# the accelerator has neither setting
+@pytest.mark.parametrize("key,value", [("clock_ghz", 4.0), ("element_size_bytes", 4)])
+def test_system_compare_rejects_removed_accelerator_keys(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"accelerator": {"clock_ghz": 4.0}}))
+    cfg.write_text(json.dumps({"accelerator": {key: value}}))
     assert run_cli("system-compare", "--config", str(cfg), "--sweep", "32.0",
                    "--out", str(tmp_path / "o")) == 1
-    assert "accelerator: unknown key(s) clock_ghz" in capsys.readouterr().err
+    assert f"accelerator: unknown key(s) {key}" in capsys.readouterr().err
 
 
 _NUMERIC_FIELDS = ([("accelerator", f.name) for f in fields(AcceleratorConfig)]
@@ -637,8 +639,8 @@ def test_error_train_non_integer_field_exits_one(tmp_path, capsys, overrides, ke
      "accelerator: rows"),
     ("system-compare", {"accelerator": {"cols": 16.0}, "sweep": [64.0]},
      "accelerator: cols"),
-    ("system-compare", {"accelerator": {"element_size_bytes": 4.0}, "sweep": [64.0]},
-     "accelerator: element_size_bytes"),
+    ("system-compare", {"system": {"dram_burst_elements": 16.0}, "sweep": [64.0]},
+     "system: dram_burst_elements"),
     ("system-compare", {"system": {"dram_burst_elements": 16.5}, "sweep": [64.0]},
      "system: dram_burst_elements"),
     ("wer-sweep", {"workers": 1.9}, "workers"),
@@ -857,7 +859,7 @@ def test_rerun_rejects_unknown_command(tmp_path):
     assert run_cli("rerun", str(bad)) == 1
 
 
-@pytest.mark.parametrize("key", ["bogus", "clock_ghz"])
+@pytest.mark.parametrize("key", ["bogus", "clock_ghz", "element_size_bytes"])
 def test_rerun_validates_manifest_config(key, tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli("system-compare", "--sweep", "32.0", "--out", str(out)) == 0

@@ -89,8 +89,6 @@ def test_accelerator_config_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameterError):
             AcceleratorConfig(weight_buffer_kb=bad)
-    with pytest.raises(InvalidParameterError):
-        AcceleratorConfig(element_size_bytes=8)
 
 
 def test_gemm_views():
@@ -141,8 +139,8 @@ def test_gemm_counts_match_bruteforce_oracle(shape, rows, cols):
 
 def store_totals(trace, store):
     """(reads, writes) of one store over the whole iteration."""
-    return (sum(trace.phase_reads(phase, store) for phase in Phase),
-            sum(trace.phase_writes(phase, store) for phase in Phase))
+    return (sum(trace.totals[(phase, store)][0] for phase in Phase),
+            sum(trace.totals[(phase, store)][1] for phase in Phase))
 
 
 def test_single_conv_full_residency_trace():
@@ -153,12 +151,12 @@ def test_single_conv_full_residency_trace():
     assert store_totals(tr, Store.ERROR) == (157, 25)
     assert store_totals(tr, Store.DRAM) == (25, 0)
     assert tr.dram_elements() == 25
-    assert sum(tr.phase_macs(phase) for phase in Phase) == 216
+    assert sum(macs for macs, _ in tr.phase_compute.values()) == 216
     assert tr.total_cycles() == 51
-    assert tr.phase_macs(Phase.FORWARD) == 36
-    assert tr.phase_macs(Phase.BACKWARD_INPUT_GRAD) == 144
-    assert tr.phase_macs(Phase.BACKWARD_WEIGHT_GRAD) == 36
-    assert tr.phase_macs(Phase.WEIGHT_UPDATE) == 0
+    assert tr.phase_compute[Phase.FORWARD][0] == 36
+    assert tr.phase_compute[Phase.BACKWARD_INPUT_GRAD][0] == 144
+    assert tr.phase_compute[Phase.BACKWARD_WEIGHT_GRAD][0] == 36
+    assert tr.phase_compute[Phase.WEIGHT_UPDATE][0] == 0
 
 
 def test_empty_buffers_spill_everything():
@@ -173,25 +171,24 @@ def test_empty_buffers_spill_everything():
 def test_weight_update_counts():
     tr = simulate_iteration([CANON_CONV], BIG)
     w = weight_elements(CANON_CONV)
-    assert tr.accesses[(1, Phase.WEIGHT_UPDATE, Store.WEIGHT)] == [w, w]
-    assert tr.accesses[(1, Phase.WEIGHT_UPDATE, Store.ERROR)] == [w, 0]
-    assert tr.compute[(1, Phase.WEIGHT_UPDATE)] == (0, 0)
+    assert tr.totals[(Phase.WEIGHT_UPDATE, Store.WEIGHT)] == [w, w]
+    assert tr.totals[(Phase.WEIGHT_UPDATE, Store.ERROR)] == [w, 0]
+    assert tr.phase_compute[Phase.WEIGHT_UPDATE] == (0, 0)
 
 
 def test_mac_symmetry_same_pad_and_fc():
-    layers = [Conv(2, 3, 8, 8, 4, 3, 1, 1), FullyConnected(4, 32, 16)]
-    tr = simulate_iteration(layers, BIG)
-    for l in (1, 2):
-        fwd = tr.compute[(l, Phase.FORWARD)][0]
-        assert tr.compute[(l, Phase.BACKWARD_INPUT_GRAD)][0] == fwd
-        assert tr.compute[(l, Phase.BACKWARD_WEIGHT_GRAD)][0] == fwd
+    for layer in (Conv(2, 3, 8, 8, 4, 3, 1, 1), FullyConnected(4, 32, 16)):
+        tr = simulate_iteration([layer], BIG)
+        fwd = tr.phase_compute[Phase.FORWARD][0]
+        assert tr.phase_compute[Phase.BACKWARD_INPUT_GRAD][0] == fwd
+        assert tr.phase_compute[Phase.BACKWARD_WEIGHT_GRAD][0] == fwd
 
 
 def test_forward_macs_closed_form():
     layer = Conv(2, 3, 8, 8, 8, 3, 1, 1)
     tr = simulate_iteration([layer], BIG)
     oh, ow = out_dims(layer)
-    assert tr.compute[(1, Phase.FORWARD)][0] == (
+    assert tr.phase_compute[Phase.FORWARD][0] == (
         layer.batch * layer.out_channels * oh * ow
         * layer.kernel ** 2 * layer.in_channels
     )
@@ -200,10 +197,10 @@ def test_forward_macs_closed_form():
 def test_batch_linearity_for_fc():
     single = simulate_iteration([FullyConnected(2, 3, 4)], BIG)
     double = simulate_iteration([FullyConnected(4, 3, 4)], BIG)
-    assert double.phase_macs(Phase.FORWARD) == 2 * single.phase_macs(Phase.FORWARD)
-    fwd_key = (1, Phase.FORWARD, Store.ACTIVATION)
+    assert double.phase_compute[Phase.FORWARD][0] == 2 * single.phase_compute[Phase.FORWARD][0]
+    fwd_key = (Phase.FORWARD, Store.ACTIVATION)
     # row-port activation reads scale with the batch rows
-    assert double.accesses[fwd_key][0] == 2 * single.accesses[fwd_key][0]
+    assert double.totals[fwd_key][0] == 2 * single.totals[fwd_key][0]
 
 
 def test_dram_monotone_in_buffer_capacity():
@@ -230,8 +227,7 @@ def test_fifo_dram_traffic_can_rise_with_capacity():
 def test_determinism():
     a = simulate_iteration(TOY_NET, BIG)
     b = simulate_iteration(TOY_NET, BIG)
-    assert a.accesses == b.accesses
-    assert a.compute == b.compute
+    assert a == b
 
 
 def test_empty_workload_rejected():
@@ -274,15 +270,15 @@ def test_fifo_eviction_orders():
 
 def test_evicted_weights_update_in_dram():
     # three independent FC layers, 1 KB of weights each, 2 KB weight buffer:
-    # placing w3 evicts w1, so layer 1 updates against DRAM
+    # placing w3 evicts w1, so one layer's update goes to DRAM and two stay
+    # in the weight buffer; every weight gradient stays in the error buffer
     layers = [FullyConnected(1, 256, 1) for _ in range(3)]
     cfg = AcceleratorConfig(activation_buffer_kb=64, weight_buffer_kb=2.0,
                             error_buffer_kb=64)
     tr = simulate_iteration(layers, cfg)
-    assert tr.accesses[(1, Phase.WEIGHT_UPDATE, Store.DRAM)] == [256, 256]
-    assert tr.accesses[(1, Phase.WEIGHT_UPDATE, Store.ERROR)] == [256, 0]
-    for l in (2, 3):
-        assert tr.accesses[(l, Phase.WEIGHT_UPDATE, Store.WEIGHT)] == [256, 256]
+    assert tr.totals[(Phase.WEIGHT_UPDATE, Store.DRAM)] == [256, 256]
+    assert tr.totals[(Phase.WEIGHT_UPDATE, Store.WEIGHT)] == [512, 512]
+    assert tr.totals[(Phase.WEIGHT_UPDATE, Store.ERROR)] == [768, 0]
 
 
 def test_load_workload(tmp_path):
@@ -366,29 +362,18 @@ _PLACE = _Buffers.place
 def _place_checking_used(self, tensor):
     placed = _PLACE(self, tensor)
     for store, pool in self.resident.items():
-        assert self.used[store] == sum(t.bytes(self.cfg) for t in pool), store
+        assert self.used[store] == sum(t.bytes() for t in pool), store
     return placed
 
 
-def _assert_getters_equal_oracle(trace):
-    access, compute = phase_totals(trace)
-    for phase in Phase:
-        assert (trace.phase_macs(phase), trace.phase_cycles(phase)) == \
-            compute.get(phase, (0, 0))
-        for store in Store:
-            assert (trace.phase_reads(phase, store),
-                    trace.phase_writes(phase, store)) == \
-                access.get((phase, store), (0, 0))
-
-
 def _assert_replay_equals_reference(workload, cfg):
-    """The replay against the object-based reference, record for record."""
+    """The replay against the object-based reference's record, summed per phase."""
     trace = simulate_iteration(workload, cfg)
     ref = reference_iteration(workload, cfg)
-    assert trace.accesses == ref.accesses
-    assert trace.compute == ref.compute
+    access, compute = phase_totals(ref)
+    assert trace.totals == access
+    assert trace.phase_compute == compute
     assert trace.capacity_range == ref.capacity_range
-    _assert_getters_equal_oracle(trace)
     assert trace.dram_elements() == sum(store_totals(trace, Store.DRAM))
     return trace
 
@@ -400,11 +385,11 @@ def _check_bookkeeping(workload, act_kb, wt_kb, err_kb, shapes):
         with mock.patch.object(_Buffers, "place", _place_checking_used):
             reference_iteration(workload, cfg)
         trace = _assert_replay_equals_reference(workload, cfg)
-        for l, layer in enumerate(workload, start=1):
-            for phase in GEMM_PHASES:
-                ref = brute_force_gemm_counts(*astuple(gemm_view(layer, phase)),
-                                              rows, cols)
-                assert trace.compute[(l, phase)] == (ref["macs"], ref["cycles"])
+        for phase in GEMM_PHASES:
+            refs = [brute_force_gemm_counts(*astuple(gemm_view(layer, phase)), rows, cols)
+                    for layer in workload]
+            assert trace.phase_compute[phase] == (sum(r["macs"] for r in refs),
+                                                  sum(r["cycles"] for r in refs))
 
 
 _CONVS = st.builds(
@@ -486,8 +471,7 @@ def test_trace_is_the_same_at_both_ends_of_its_capacity_range(workload, act_kb,
         for nbytes in (max(lo, 1), hi - 1 if hi < float("inf") else 4 * built_at):
             other = simulate_iteration(
                 workload, replace(cfg, **{_KB_FIELDS[store]: nbytes / 1024}))
-            assert other.accesses == trace.accesses, (store, nbytes)
-            assert other.compute == trace.compute, (store, nbytes)
+            assert other == trace, (store, nbytes)
 
 
 # batches and tensors large enough for FIFO decisions inside the calibrated

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spinpad.arraymodel import ArrayMetrics, MemoryTechnology, TechnologyKind
-from spinpad.dataflow import AcceleratorConfig, Conv, GemmShape
+from spinpad.dataflow import Conv, GemmShape
 from spinpad.energy import SegmentMap
 from spinpad.errors import POSITIVE, InvalidParameterError, check_range
 from spinpad.errortrain import ExperimentConfig, SegmentErrorConfig, TinyNetSpec
@@ -80,7 +80,6 @@ BOUNDS = [
      (-1,)),
     ("padding", lambda v: Conv(1, 1, 4, 4, 1, 3, padding=v), (0,), (-1,)),
     ("m_rows", lambda v: GemmShape(v, 1, 1), (1,), (0,)),
-    ("element_size_bytes", lambda v: AcceleratorConfig(element_size_bytes=v), (4,), (3, 5)),
 ]
 
 
