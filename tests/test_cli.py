@@ -485,6 +485,20 @@ def test_non_finite_system_compare_number_exits_one(tmp_path, capsys, section, k
     assert not (out / "compare.csv").exists()
 
 
+# an old config may carry a removed key with a value no number check would pass:
+# it is refused by name, as unknown, not by the value it holds
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("key", ["clock_ghz", "element_size_bytes"])
+def test_non_finite_removed_accelerator_key_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"sweep": [32.0], "accelerator": {{"{key}": {value}}}}}')
+    out = tmp_path / "o"
+    assert run_cli("system-compare", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"accelerator: unknown key(s) {key}" in err, err
+    assert not (out / "compare.csv").exists()
+
+
 def test_system_compare_rerun_byte_identical(tmp_path):
     out = tmp_path / "o"
     assert run_cli("system-compare", "--sweep", "32.0,183.0",
