@@ -6,10 +6,13 @@ carries measured anchors at 183/512/40592/131072 KB plus extended anchors at
 32 KB and 512 MB generated from the fitted power-law trends, so sweeps can
 span 32 KB to 512 MB. Everything is overridable from a calibration CSV.
 
-Reduced-write-cost MRAM operating modes are expressed as multiplicative
-factors on write latency and write energy together with the write error rate
-bought at that operating point; `derive_custom_mode` builds such a mode
-directly from a fitted ln(WER) characterization curve.
+Every technology carries a write operating point: multiplicative factors on
+write latency and write energy together with the write error rate bought at
+that point. `metrics_at_capacity` applies it once, to every technology;
+`sram` and `mram_base` carry identity factors, so their interpolated write
+costs pass through unchanged, and every MRAM mode shares the `mram_base`
+anchors. `derive_custom_mode` builds a mode directly from a fitted ln(WER)
+characterization curve.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -42,13 +45,6 @@ class TechnologyKind(str, Enum):
     MRAM_LOW_DURATION = "mram_low_duration"
     MRAM_CUSTOM = "mram_custom"
 
-
-_MRAM_KINDS = {
-    TechnologyKind.MRAM_BASE,
-    TechnologyKind.MRAM_LOW_VOLTAGE,
-    TechnologyKind.MRAM_LOW_DURATION,
-    TechnologyKind.MRAM_CUSTOM,
-}
 
 # (write_latency_factor, write_energy_factor, wer) of each named technology;
 # only mram_custom sets its own
@@ -200,7 +196,7 @@ class CalibrationTable:
         """Anchor set backing a technology; MRAM modes share MRAM_BASE anchors."""
         if kind in self.anchors:
             return self.anchors[kind]
-        if kind in _MRAM_KINDS and TechnologyKind.MRAM_BASE in self.anchors:
+        if kind != TechnologyKind.SRAM and TechnologyKind.MRAM_BASE in self.anchors:
             return self.anchors[TechnologyKind.MRAM_BASE]
         raise ConfigError(f"no calibration anchors for technology {kind.value!r}")
 
@@ -270,7 +266,7 @@ def _loglog_interp(x: float, xs: list[float], ys: list[float]) -> float:
 def metrics_at_capacity(
     table: CalibrationTable, tech: MemoryTechnology, capacity_kb: float
 ) -> ArrayMetrics:
-    """Interpolated metrics at a capacity, with the write mode applied."""
+    """Interpolated metrics at a capacity, with the technology's write mode applied."""
     check_range("capacity_kb", capacity_kb, POSITIVE)
     points = table.anchors_for(tech.kind)
     caps = [p.capacity_kb for p in points]
@@ -283,10 +279,9 @@ def metrics_at_capacity(
         name: _loglog_interp(capacity_kb, caps, [getattr(p, name) for p in points])
         for name in _INTERP_FIELDS
     }
-    base = ArrayMetrics(capacity_kb=capacity_kb, wer=WER_BASELINE, **values)
-    if tech.kind == TechnologyKind.SRAM:
-        return replace(base, wer=0.0)
-    return apply_write_mode(base, tech)
+    values["write_latency_ns"] *= tech.write_latency_factor
+    values["write_energy_pj"] *= tech.write_energy_factor
+    return ArrayMetrics(capacity_kb=capacity_kb, wer=tech.wer, **values)
 
 
 def capacity_at_area(
@@ -301,23 +296,6 @@ def capacity_at_area(
             f"area {area_mm2} mm^2 outside anchored range [{areas[0]}, {areas[-1]}] mm^2"
         )
     return _loglog_interp(area_mm2, areas, [p.capacity_kb for p in points])
-
-
-def apply_write_mode(base: ArrayMetrics, tech: MemoryTechnology) -> ArrayMetrics:
-    """Apply a reduced-write-cost operating point to base MRAM metrics."""
-    if tech.kind not in _MRAM_KINDS:
-        raise InvalidParameterError("write modes apply to MRAM technologies only")
-    if base.wer != WER_BASELINE:
-        raise InvalidParameterError(
-            "write modes start from baseline MRAM metrics "
-            f"(wer {WER_BASELINE}), got wer {base.wer}"
-        )
-    return replace(
-        base,
-        write_latency_ns=base.write_latency_ns * tech.write_latency_factor,
-        write_energy_pj=base.write_energy_pj * tech.write_energy_factor,
-        wer=tech.wer,
-    )
 
 
 def derive_custom_mode(

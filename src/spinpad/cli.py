@@ -142,16 +142,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _tech_from_spec(spec, where: str) -> MemoryTechnology:
-    """A technology name, {"kind": name}, or an object of mram_custom factors."""
+    """A technology's preset name, or an object of mram_custom factors."""
     if isinstance(spec, str):
         return MemoryTechnology.from_name(spec)
-    if isinstance(spec, dict):
-        spec = dict(spec)
-        kind = spec.pop("kind", TechnologyKind.MRAM_CUSTOM.value)
-        if kind != TechnologyKind.MRAM_CUSTOM.value:
-            if spec:
-                raise ConfigError(f"{where}: named technology {kind!r} carries no factors")
-            return MemoryTechnology.from_name(kind)
     return config_from(MemoryTechnology, spec, where, kind=TechnologyKind.MRAM_CUSTOM)
 
 
@@ -313,6 +306,11 @@ class _SystemCompare:
         if self.mode not in ("iso-capacity", "iso-area"):
             raise InvalidParameterError(
                 f"mode must be iso-capacity or iso-area, got {self.mode!r}")
+        # each sweep point puts its own capacity in every buffer
+        for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
+            if getattr(self.accelerator, name) != getattr(AcceleratorConfig(), name):
+                raise InvalidParameterError(
+                    f"accelerator: {name} is set by the sweep, not by the config")
 
 
 def _resolve_system_compare(args) -> _SystemCompare:

@@ -141,10 +141,6 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
 class ComparisonPoint:
     """Energy comparison of two technologies at one sweep point."""
 
-    mode: str  # "iso_capacity" or "iso_area"
-    sweep_value: float
-    tech_a: MemoryTechnology
-    tech_b: MemoryTechnology
     capacity_a_kb: float
     capacity_b_kb: float
     report_a: EnergyReport
@@ -196,9 +192,7 @@ def compare_iso_capacity(
         m = metrics_at_capacity(table, tech, capacity_kb)
         reports.append(estimate_energy(trace, m, m, m, sys))
     dram = trace.dram_elements()
-    return ComparisonPoint("iso_capacity", capacity_kb, tech_a, tech_b,
-                           capacity_kb, capacity_kb, reports[0], reports[1],
-                           dram, dram)
+    return ComparisonPoint(capacity_kb, capacity_kb, reports[0], reports[1], dram, dram)
 
 
 def compare_iso_area(
@@ -218,9 +212,7 @@ def compare_iso_area(
         caps.append(cap)
         reports.append(estimate_energy(trace, m, m, m, sys))
         drams.append(trace.dram_elements())
-    return ComparisonPoint("iso_area", area_mm2, tech_a, tech_b,
-                           caps[0], caps[1], reports[0], reports[1],
-                           drams[0], drams[1])
+    return ComparisonPoint(caps[0], caps[1], reports[0], reports[1], drams[0], drams[1])
 
 
 @dataclass(frozen=True)

@@ -75,15 +75,15 @@ def config_from(base, section, where: str, **fixed):
 
     base is the dataclass, or an instance of it whose values are the
     defaults; the section's keys are laid over them. `fixed` holds fields
-    the caller has built itself, which the section may not set. A field
-    whose default is itself a config object takes a nested section, built
-    the same way. A section that is not an object, a key that names no
-    field, and every error of construction are raised as ConfigError
-    prefixed with `where`, the key path of the section.
+    the caller has built itself; the section may not set one, so a key that
+    names a fixed field is unknown. A field whose default is itself a config
+    object takes a nested section, built the same way. A section that is not
+    an object, a key that names no field, and every error of construction are
+    raised as ConfigError prefixed with `where`, the key path of the section.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
-    unknown = set(section) - {f.name for f in fields(base)} - set(fixed)
+    unknown = set(section) - ({f.name for f in fields(base)} - set(fixed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
     values = dict(fixed)

@@ -438,10 +438,13 @@ class ExperimentConfig:
 
 
 def experiment_from_dict(raw, where: str = "experiment") -> ExperimentConfig:
-    """Experiment schema: net fields at top level, binding nested per buffer."""
+    """Experiment schema: net fields at top level, binding nested per buffer.
+
+    The net's seed is not a key: run_experiment trains once per entry of
+    `seeds`, so a top-level seed would name a setting nothing reads."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
-    net_keys = {f.name for f in fields(TinyNetSpec)}
+    net_keys = {f.name for f in fields(TinyNetSpec)} - {"seed"}
     net = config_from(TinyNetSpec, {k: v for k, v in raw.items() if k in net_keys}, where)
     rest = {k: v for k, v in raw.items() if k not in net_keys}
     return config_from(ExperimentConfig, rest, where, net=net)

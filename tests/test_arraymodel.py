@@ -14,7 +14,6 @@ from spinpad.arraymodel import (
     LOW_MODE_WER,
     MemoryTechnology,
     TechnologyKind,
-    apply_write_mode,
     capacity_at_area,
     derive_custom_mode,
     metrics_at_capacity,
@@ -147,14 +146,58 @@ def test_low_mode_write_costs():
     assert m.area_mm2 == base.area_mm2
 
 
-def test_apply_write_mode_identity_and_guards():
-    base = metrics_at_capacity(TABLE, MRAM, 512.0)
-    assert apply_write_mode(base, MRAM) == base
-    with pytest.raises(InvalidParameterError):
-        apply_write_mode(base, SRAM)
-    moded = apply_write_mode(base, MemoryTechnology.from_name("mram_low_voltage"))
-    with pytest.raises(InvalidParameterError):
-        apply_write_mode(moded, MemoryTechnology.from_name("mram_low_voltage"))  # already moded
+CUSTOM = MemoryTechnology(TechnologyKind.MRAM_CUSTOM, write_latency_factor=0.6,
+                          write_energy_factor=0.5, wer=1e-6)
+WRITE_MODES = [SRAM, MRAM, MemoryTechnology.from_name("mram_low_voltage"),
+               MemoryTechnology.from_name("mram_low_duration"), CUSTOM]
+
+
+def _family(tech: MemoryTechnology) -> tuple[ArrayMetrics, ...]:
+    """The anchors a technology reads: sram its own, every MRAM mode mram_base's."""
+    kind = TechnologyKind.SRAM if tech.kind == TechnologyKind.SRAM else TechnologyKind.MRAM_BASE
+    return TABLE.anchors[kind]
+
+
+def _check_mode(m: ArrayMetrics, tech: MemoryTechnology, family: dict, exact: bool) -> None:
+    """m holds the family's values, with the technology's write mode on the write costs."""
+    want = {**family,
+            "write_latency_ns": family["write_latency_ns"] * tech.write_latency_factor,
+            "write_energy_pj": family["write_energy_pj"] * tech.write_energy_factor}
+    for name, value in want.items():
+        got = getattr(m, name)
+        assert got == value if exact else got == pytest.approx(value, rel=1e-12), name
+    assert m.wer == tech.wer
+
+
+_FIELDS = ("area_mm2", "read_latency_ns", "write_latency_ns", "read_energy_pj",
+           "write_energy_pj", "leakage_mw")
+
+
+@pytest.mark.parametrize("tech", WRITE_MODES, ids=lambda t: t.kind.value)
+def test_metrics_at_anchor_capacities_apply_the_write_mode_once(tech):
+    for anchor in _family(tech):
+        m = metrics_at_capacity(TABLE, tech, anchor.capacity_kb)
+        assert m.capacity_kb == anchor.capacity_kb
+        _check_mode(m, tech, {f: getattr(anchor, f) for f in _FIELDS}, exact=True)
+
+
+@given(tech=st.sampled_from(WRITE_MODES),
+       cap=st.floats(min_value=32.0, max_value=524288.0, allow_nan=False))
+def test_metrics_between_anchors_apply_the_write_mode_once(tech, cap):
+    points = _family(tech)
+    i = max(j for j, p in enumerate(points) if p.capacity_kb <= cap)
+    lo, hi = points[i], points[min(i + 1, len(points) - 1)]
+    t = 0.0 if lo is hi else (math.log(cap / lo.capacity_kb)
+                              / math.log(hi.capacity_kb / lo.capacity_kb))
+    # the family's log-log line between its bracketing anchors, written out afresh
+    family = {f: math.exp((1 - t) * math.log(getattr(lo, f)) + t * math.log(getattr(hi, f)))
+              for f in _FIELDS}
+    m = metrics_at_capacity(TABLE, tech, cap)
+    assert m.capacity_kb == cap
+    _check_mode(m, tech, family, exact=False)
+    # bit for bit: the family base's metrics, write costs times the factors
+    base = metrics_at_capacity(TABLE, SRAM if tech.kind == TechnologyKind.SRAM else MRAM, cap)
+    _check_mode(m, tech, {f: getattr(base, f) for f in _FIELDS}, exact=True)
 
 
 def test_capacity_at_area_anchor_exact():

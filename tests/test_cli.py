@@ -187,6 +187,20 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
                        "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert "device: expected an object" in err, err
+    # a key naming a field the loader builds itself is unknown too: the net of
+    # error-train comes from the top-level keys, a technology's kind from its form
+    for command, doc, key in (
+            ("error-train", _experiment(net=5), "net"),
+            ("error-train", _experiment(net={"epochs": 2}), "net"),
+            ("system-compare", {"sweep": [32.0], "tech_b": {"kind": "sram"}}, "kind"),
+            ("system-compare", {"sweep": [32.0], "tech_b": {"kind": "mram_custom",
+                                                           **_CUSTOM_TECH}}, "kind")):
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(bad), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key(s) {key}" in err, err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_out_of_range_capacity_exits_one(tmp_path):
@@ -499,6 +513,24 @@ def test_non_finite_removed_accelerator_key_exits_one(tmp_path, capsys, key, val
     assert not (out / "compare.csv").exists()
 
 
+# every sweep point puts its own capacity in all three buffers, so a buffer
+# size in the config would be a setting nothing reads
+@pytest.mark.parametrize("key", ["activation_buffer_kb", "weight_buffer_kb",
+                                 "error_buffer_kb"])
+def test_system_compare_refuses_accelerator_buffer_size(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": [32.0], "accelerator": {key: 1}}))
+    out = tmp_path / "o"
+    assert run_cli("system-compare", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"accelerator: {key} is set by the sweep" in err, err
+    assert not out.exists()
+    # the default value is what a manifest records, so it is accepted
+    cfg.write_text(json.dumps({"sweep": [32.0], "accelerator": {
+        key: getattr(AcceleratorConfig(), key)}}))
+    assert run_cli("system-compare", "--config", str(cfg), "--out", str(out)) == 0
+
+
 def test_system_compare_rerun_byte_identical(tmp_path):
     out = tmp_path / "o"
     assert run_cli("system-compare", "--sweep", "32.0,183.0",
@@ -608,6 +640,19 @@ def test_error_train_seed_flag_restricts_seeds(tmp_path):
     assert manifest["seed"] == [2]
     doc = read_json(out / "summary.json")
     assert list(doc["seeds"]) == ["2"]
+
+
+# runs train once per entry of "seeds": a top-level seed is not a setting, and
+# it is refused by name whatever it holds
+@pytest.mark.parametrize("value", ["5"] + _NOT_NUMBERS)
+def test_error_train_seed_key_is_unknown(tmp_path, capsys, value):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(_experiment(seed="SEED")).replace('"SEED"', value))
+    out = tmp_path / "o"
+    assert run_cli("error-train", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: experiment: unknown key(s) seed" in err, err
+    assert not out.exists()
 
 
 def test_error_train_divergence_still_exits_zero(tmp_path):
@@ -807,7 +852,7 @@ _CONFIG_NUMBERS = (
     + [("wer-sweep", {}, ("simulation",), k) for k in _numbers(MagSimConfig)]
     + [("hetero-write", {}, (), k) for k in _numbers(_COMMANDS["hetero-write"][0])]
     + [("error-train", _experiment(), (), k)
-       for k in _numbers(TinyNetSpec) + _numbers(ExperimentConfig)]
+       for k in _numbers(TinyNetSpec) + _numbers(ExperimentConfig) if k != "seed"]
     + [("error-train", _experiment(), ("binding", store.name), k)
        for store in fields(BufferErrorBinding) for k in _numbers(SegmentErrorConfig)]
     + [("system-compare", {"sweep": [32.0], "tech_b": _CUSTOM_TECH}, ("tech_b",), k)
