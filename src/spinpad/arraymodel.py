@@ -13,6 +13,11 @@ that point. `metrics_at_capacity` applies it once, to every technology;
 costs pass through unchanged, and every MRAM mode shares the `mram_base`
 anchors. `derive_custom_mode` builds a mode directly from a fitted ln(WER)
 characterization curve.
+
+A `CalibrationTable` computes its interpolation constants once, when it is
+built: for each technology's anchor set, every field's anchor values and
+the log of each segment's ratio, log(y1 / y0). A query then makes one bisect
+and one interpolation fraction, shared by every field it returns.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -77,10 +83,11 @@ class MemoryTechnology:
             raise InvalidParameterError(
                 f"{self.kind.value} carries (write_latency_factor, write_energy_factor, "
                 f"wer) = {preset}, got {own}")
-        if self.write_energy_factor < 1.0 and self.wer <= WER_BASELINE:
-            # cheaper writes are bought with reliability, never for free
-            raise InvalidParameterError(
-                f"write_energy_factor < 1 requires wer above the baseline {WER_BASELINE}")
+        if min(self.write_latency_factor, self.write_energy_factor) < 1.0 \
+                and self.wer <= WER_BASELINE:
+            # cheaper or shorter writes are bought with reliability, never for free
+            raise InvalidParameterError("write_latency_factor or write_energy_factor < 1 "
+                                        f"requires wer above the baseline {WER_BASELINE}")
 
     @classmethod
     def from_name(cls, name: str) -> "MemoryTechnology":
@@ -174,6 +181,8 @@ class CalibrationTable:
     anchors: dict[TechnologyKind, tuple[ArrayMetrics, ...]] = field(
         default_factory=_default_anchors
     )
+    # the interpolation constants of each technology's anchor set
+    _axes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.anchors:
@@ -191,6 +200,11 @@ class CalibrationTable:
             for p in points:  # log-log interpolation needs every anchor value > 0
                 for name in _INTERP_FIELDS:
                     check_range(f"{kind.value}: {name}", getattr(p, name), POSITIVE)
+        axes = {}
+        for kind in TechnologyKind:
+            with suppress(ConfigError):  # no anchor set backs this kind
+                axes[kind] = _segment_logs(self.anchors_for(kind))
+        object.__setattr__(self, "_axes", axes)
 
     def anchors_for(self, kind: TechnologyKind) -> tuple[ArrayMetrics, ...]:
         """Anchor set backing a technology; MRAM modes share MRAM_BASE anchors."""
@@ -248,19 +262,32 @@ class CalibrationTable:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def _loglog_interp(x: float, xs: list[float], ys: list[float]) -> float:
-    """Piecewise log-log interpolation, flat beyond the ends, anchor-exact."""
-    if x <= xs[0]:
-        return ys[0]
+def _segment_logs(points: tuple[ArrayMetrics, ...]) -> dict[str, tuple[list, list]]:
+    """Each field's anchor values and the log of each segment's ratio y1 / y0."""
+    axes = {}
+    for name in ("capacity_kb", *_INTERP_FIELDS):
+        ys = [getattr(p, name) for p in points]
+        axes[name] = ys, [math.log(y1 / y0) for y0, y1 in zip(ys, ys[1:])]
+    return axes
+
+
+def _loglog_interp(axes: dict, by: str, x: float, names: tuple[str, ...]) -> list[float]:
+    """Piecewise log-log interpolation of each named field at field `by` = x:
+    flat beyond the ends, anchor-exact. One bisect and one t serve every field."""
+    xs, dx = axes[by]
     if x >= xs[-1]:
-        return ys[-1]
-    i = bisect_right(xs, x) - 1
-    y0, y1 = ys[i], ys[i + 1]
+        return [axes[name][0][-1] for name in names]
+    i = max(bisect_right(xs, x) - 1, 0)
     # a chain of monotone roundings: monotone in x even at the ulp scale,
     # and never past y0; rounding can overshoot y1, so that end is clamped
-    t = math.log(x / xs[i]) / math.log(xs[i + 1] / xs[i])
-    y = y0 * math.exp(t * math.log(y1 / y0))
-    return min(y, y1) if y1 >= y0 else max(y, y1)
+    t = max(math.log(x / xs[i]) / dx[i], 0.0)  # 0 below the first anchor: y = y0
+    out = []
+    for name in names:
+        ys, dy = axes[name]
+        y0, y1 = ys[i], ys[i + 1]
+        y = y0 * math.exp(t * dy[i])
+        out.append(min(y, y1) if y1 >= y0 else max(y, y1))
+    return out
 
 
 def metrics_at_capacity(
@@ -269,19 +296,14 @@ def metrics_at_capacity(
     """Interpolated metrics at a capacity, with the technology's write mode applied."""
     check_range("capacity_kb", capacity_kb, POSITIVE)
     points = table.anchors_for(tech.kind)
-    caps = [p.capacity_kb for p in points]
-    if not caps[0] / GUARD_FACTOR <= capacity_kb <= caps[-1] * GUARD_FACTOR:
+    lo, hi = points[0].capacity_kb / GUARD_FACTOR, points[-1].capacity_kb * GUARD_FACTOR
+    if not lo <= capacity_kb <= hi:
         raise OutOfRangeError(
-            f"capacity {capacity_kb} KB outside calibrated range "
-            f"[{caps[0] / GUARD_FACTOR}, {caps[-1] * GUARD_FACTOR}] KB"
-        )
-    values = {
-        name: _loglog_interp(capacity_kb, caps, [getattr(p, name) for p in points])
-        for name in _INTERP_FIELDS
-    }
-    values["write_latency_ns"] *= tech.write_latency_factor
-    values["write_energy_pj"] *= tech.write_energy_factor
-    return ArrayMetrics(capacity_kb=capacity_kb, wer=tech.wer, **values)
+            f"capacity {capacity_kb} KB outside calibrated range [{lo}, {hi}] KB")
+    area, rl, wl, re, we, leak = _loglog_interp(table._axes[tech.kind], "capacity_kb",
+                                                capacity_kb, _INTERP_FIELDS)
+    return ArrayMetrics(capacity_kb, area, rl, wl * tech.write_latency_factor, re,
+                        we * tech.write_energy_factor, leak, tech.wer)
 
 
 def capacity_at_area(
@@ -290,12 +312,11 @@ def capacity_at_area(
     """Largest capacity whose array fits the area budget (inverse of the anchors)."""
     check_range("area_mm2", area_mm2, POSITIVE)
     points = table.anchors_for(tech.kind)
-    areas = [p.area_mm2 for p in points]
-    if not areas[0] <= area_mm2 <= areas[-1]:
+    lo, hi = points[0].area_mm2, points[-1].area_mm2
+    if not lo <= area_mm2 <= hi:
         raise OutOfRangeError(
-            f"area {area_mm2} mm^2 outside anchored range [{areas[0]}, {areas[-1]}] mm^2"
-        )
-    return _loglog_interp(area_mm2, areas, [p.capacity_kb for p in points])
+            f"area {area_mm2} mm^2 outside anchored range [{lo}, {hi}] mm^2")
+    return _loglog_interp(table._axes[tech.kind], "area_mm2", area_mm2, ("capacity_kb",))[0]
 
 
 def derive_custom_mode(

@@ -72,24 +72,32 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    kind = type(value)
-    if kind is int or kind is float and value - value == 0.0:  # inf - inf is nan
-        return repr(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-             for k, v in sorted(value.items())]) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join(
-            [_json_text(v, inner) for v in value]) + indent + "]"
-    return json.dumps(value)  # str, bool, None, inf, nan, subclasses, {} and []
+def _json_text(value) -> str:
+    """Exactly json.dumps(value, indent=2, sort_keys=True), without the stdlib's
+    pure-Python encoder that any indent runs."""
+    keys = {}  # each key's encoding and ": ", made once per document
+
+    def text(value, indent: str) -> str:
+        kind = type(value)
+        if kind is int or kind is float and value - value == 0.0:  # inf - inf is nan
+            return repr(value)
+        inner = indent + "  "
+        if isinstance(value, dict) and value:  # a finite float value is written inline
+            return "{" + inner + ("," + inner).join([
+                (keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k) + ": "))
+                + (repr(v) if type(v) is float and v - v == 0.0 else text(v, inner))
+                for k, v in sorted(value.items())]) + indent + "}"
+        if isinstance(value, (list, tuple)) and value:
+            return "[" + inner + ("," + inner).join(
+                [text(v, inner) for v in value]) + indent + "]"
+        return json.dumps(value)  # str, bool, None, inf, nan, subclasses, {} and []
+    return text(value, "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n": any indent
-    runs the stdlib's pure-Python encoder, 40% of a VGG-16 system-compare sweep."""
+    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n". A
+    system-compare sweep's breakdown.json holds 64 floats per point, and their
+    reprs are about half the time of writing it."""
     path.write_text(_json_text({"manifest": "manifest.json", **payload}) + "\n")
 
 
@@ -187,7 +195,8 @@ def _default_workload() -> list[dict]:
 # Each subcommand has one config dataclass: what its executor reads and
 # what its manifest records. config_from builds it from the --config file
 # or, on rerun, from the manifest; the resolver then sets the fields its
-# flags override.
+# flags override. Its __post_init__ checks every field, technology specs and
+# workload included, so a refused config makes no output directory.
 
 # ------------------------------------------------------------- wer-sweep
 
@@ -260,6 +269,8 @@ class _ArraySweep:
 
     def __post_init__(self) -> None:
         self.capacities_kb = _floats("capacities_kb", self.capacities_kb)
+        for spec in self.technologies:
+            _tech_from_spec(spec, "technologies")
 
 
 def _resolve_array_sweep(args) -> _ArraySweep:
@@ -311,6 +322,9 @@ class _SystemCompare:
             if getattr(self.accelerator, name) != getattr(AcceleratorConfig(), name):
                 raise InvalidParameterError(
                     f"accelerator: {name} is set by the sweep, not by the config")
+        _workload_from_config(self.workload, "workload")
+        _tech_from_spec(self.tech_a, "tech_a")
+        _tech_from_spec(self.tech_b, "tech_b")
 
 
 def _resolve_system_compare(args) -> _SystemCompare:
@@ -398,6 +412,8 @@ class _HeteroWrite:
         check_int("mantissa_bits", self.mantissa_bits)
         check_range("bit_energy_pj", self.bit_energy_pj, POSITIVE)
         self.bit_energy_pj = float(self.bit_energy_pj)
+        for name in ("sign_mode", "exponent_mode", "mantissa_mode"):
+            _tech_from_spec(getattr(self, name), name)
 
 
 def _resolve_hetero_write(args) -> _HeteroWrite:
@@ -618,7 +634,9 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             return _cmd_rerun(args)
         cfg = _COMMANDS[args.command][1](args)
-        return _run_command(args.command, cfg, Path(args.out))
+        # the flags set fields after the config was checked: building it again checks
+        # them too, before the output directory is made
+        return _run_command(args.command, replace(cfg), Path(args.out))
     except ValueError as exc:  # ConfigError, InvalidParameterError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -77,16 +77,10 @@ class PhaseEnergy:
     def total_nj(self) -> float:
         return self.dram_nj + self.onchip_nj + self.leakage_nj + self.compute_nj
 
-    def components(self) -> dict[str, float]:
-        return {
-            "dram_nj": self.dram_nj,
-            "onchip_nj": self.onchip_nj,
-            "leakage_nj": self.leakage_nj,
-            "compute_nj": self.compute_nj,
-        }
-
     def as_dict(self) -> dict:
-        return {**self.components(), "total_nj": self.total_nj, "time_ns": self.time_ns}
+        return {"dram_nj": self.dram_nj, "onchip_nj": self.onchip_nj,
+                "leakage_nj": self.leakage_nj, "compute_nj": self.compute_nj,
+                "total_nj": self.total_nj, "time_ns": self.time_ns}
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,9 @@ class EnergyReport(PhaseEnergy):
             phase.value: pe.as_dict() for phase, pe in self.per_phase.items()}}
 
 
+_PHASES = tuple(Phase)
+
+
 def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
                     err: ArrayMetrics, sys: SystemEnergyConfig) -> EnergyReport:
     """Energy and serialized-time report for one iteration's trace.
@@ -107,34 +104,33 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
     Reads the trace's per-(phase, store) totals and per-phase compute; a key
     the trace lacks counts as zero.
     """
-    buffers = ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))
+    buffers = [(store, m.read_energy_pj, m.write_energy_pj, m.read_latency_ns,
+                m.write_latency_ns) for store, m in
+               ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))]
     leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
-    totals = trace.totals
+    totals, compute = trace.totals, trace.phase_compute
+    burst, access_nj = sys.dram_burst_elements, sys.dram_energy_per_access_nj
+    dram_latency_ns, clock_ghz, mac_pj = sys.dram_latency_ns, sys.clock_ghz, sys.mac_energy_pj
     per_phase: dict[Phase, PhaseEnergy] = {}
-    for phase in Phase:
+    rows = []  # (dram_nj, onchip_nj, leakage_nj, compute_nj, time_ns) per phase
+    for phase in _PHASES:
         reads, writes = totals.get((phase, Store.DRAM), (0, 0))
-        dram_accesses = (reads + writes) / sys.dram_burst_elements
-        dram_nj = dram_accesses * sys.dram_energy_per_access_nj
-        macs, cycles = trace.phase_compute.get(phase, (0, 0))
+        dram_accesses = (reads + writes) / burst
+        macs, cycles = compute.get(phase, (0, 0))
         onchip_pj = 0.0
-        time_ns = cycles / sys.clock_ghz
-        time_ns += dram_accesses * sys.dram_latency_ns
-        for store, metrics in buffers:
+        time_ns = cycles / clock_ghz + dram_accesses * dram_latency_ns
+        for store, read_pj, write_pj, read_ns, write_ns in buffers:
             reads, writes = totals.get((phase, store), (0, 0))
-            onchip_pj += reads * metrics.read_energy_pj
-            onchip_pj += writes * metrics.write_energy_pj
-            time_ns += reads * metrics.read_latency_ns
-            time_ns += writes * metrics.write_latency_ns
-        compute_nj = macs * sys.mac_energy_pj / 1e3
-        leakage_nj = leak_mw * time_ns / 1e3  # mW * ns = pJ
-        per_phase[phase] = PhaseEnergy(dram_nj, onchip_pj / 1e3, leakage_nj,
-                                       compute_nj, time_ns)
-    phases = per_phase.values()
-    return EnergyReport(sum(p.dram_nj for p in phases),
-                        sum(p.onchip_nj for p in phases),
-                        sum(p.leakage_nj for p in phases),
-                        sum(p.compute_nj for p in phases),
-                        sum(p.time_ns for p in phases), per_phase)
+            onchip_pj += reads * read_pj
+            onchip_pj += writes * write_pj
+            time_ns += reads * read_ns
+            time_ns += writes * write_ns
+        rows.append((dram_accesses * access_nj, onchip_pj / 1e3,
+                     leak_mw * time_ns / 1e3,  # mW * ns = pJ
+                     macs * mac_pj / 1e3, time_ns))
+        per_phase[phase] = PhaseEnergy(*rows[-1])
+    # each component summed over the phases in order
+    return EnergyReport(*map(sum, zip(*rows)), per_phase)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ bug in the package and a bug in the oracle are unlikely to coincide.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -533,3 +534,24 @@ def applied_thermal_field(sigma, rng, n):
              np.zeros(2 * n, dtype=np.int64))
     (mx, my, _, _), _ = _llg_chunk([rng], sigma, 0.0, 0.0, 1.0, dt, state, 0.0, 1)
     return np.stack([-my[:n], mx[:n], my[n:]], axis=1) / dt
+
+
+def loglog_interp(x, xs, ys):
+    """One field's piecewise log-log interpolation, flat beyond the ends and
+    anchor-exact, with every log taken afresh: arraymodel's routine before its
+    table kept the segment logs."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect_right(xs, x) - 1
+    y0, y1 = ys[i], ys[i + 1]
+    t = math.log(x / xs[i]) / math.log(xs[i + 1] / xs[i])
+    y = y0 * math.exp(t * math.log(y1 / y0))
+    return min(y, y1) if y1 >= y0 else max(y, y1)
+
+
+def components(report):
+    """The four energy components of a phase or iteration report, by name."""
+    return {name: getattr(report, name)
+            for name in ("dram_nj", "onchip_nj", "leakage_nj", "compute_nj")}

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import applied_thermal_field, brute_force_gemm_counts, gradient_check
+from oracles import (applied_thermal_field, brute_force_gemm_counts, components,
+                     gradient_check)
 
 from spinpad import magnetics
 from spinpad.arraymodel import (
@@ -341,7 +342,7 @@ def test_10_system_energy_trend():
         assert all(b >= a for a, b in zip(improvements, improvements[1:]))
         assert 2.0 <= improvements[-1] <= 30.0
         for report in (points[-1].report_a, points[-1].report_b):
-            parts = report.components()
+            parts = components(report)
             assert max(parts, key=parts.get) == "leakage_nj"
 
 

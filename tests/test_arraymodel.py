@@ -3,10 +3,12 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loglog_interp
 from spinpad.arraymodel import (
+    GUARD_FACTOR,
     ArrayMetrics,
     CalibrationTable,
     LOW_MODE_ENERGY_FACTOR,
@@ -73,6 +75,12 @@ def test_technology_validation():
     with pytest.raises(InvalidParameterError):
         MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, 0.5, WER_BASELINE)
     MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, 0.5, 1e-6)  # wer above baseline
+    # and so must shorter ones
+    for wer in (0.0, WER_BASELINE):
+        with pytest.raises(InvalidParameterError, match="write_latency_factor or"):
+            MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 0.1, 1.0, wer)
+    MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 0.1, 1.0, 1e-6)
+    MemoryTechnology(TechnologyKind.MRAM_CUSTOM, 1.0, 1.0, 0.0)  # no cheaper write
 
 
 def test_array_metrics_validation():
@@ -200,6 +208,41 @@ def test_metrics_between_anchors_apply_the_write_mode_once(tech, cap):
     _check_mode(m, tech, {f: getattr(base, f) for f in _FIELDS}, exact=True)
 
 
+TABLES = {"built-in": TABLE,
+          "calibration_default.csv": CalibrationTable.from_csv(CONFIGS / "calibration_default.csv")}
+
+
+def _queries(xs: list[float], lo: float, hi: float):
+    """The anchors and their neighbouring floats, the ends of the allowed range
+    [lo, hi], each segment's interior and the stretches beyond the first and
+    last anchor."""
+    edges = [y for x in xs for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    return st.one_of(st.sampled_from([y for y in (*edges, lo, hi) if lo <= y <= hi]),
+                     st.integers(0, len(xs) - 2).flatmap(
+                         lambda i: st.floats(xs[i], xs[i + 1])),
+                     st.floats(lo, xs[0]), st.floats(xs[-1], hi))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_interpolation_matches_the_one_field_oracle_bit_for_bit(name, data):
+    table = TABLES[name]
+    tech = data.draw(st.sampled_from(WRITE_MODES))
+    points = table.anchors_for(tech.kind)
+    caps = [p.capacity_kb for p in points]
+    cap = data.draw(_queries(caps, caps[0] / GUARD_FACTOR, caps[-1] * GUARD_FACTOR))
+    want = {f: loglog_interp(cap, caps, [getattr(p, f) for p in points]) for f in _FIELDS}
+    want["write_latency_ns"] *= tech.write_latency_factor
+    want["write_energy_pj"] *= tech.write_energy_factor
+    m = metrics_at_capacity(table, tech, cap)
+    assert {f: getattr(m, f) for f in _FIELDS} == want
+    assert (m.capacity_kb, m.wer) == (cap, tech.wer)
+    areas = [p.area_mm2 for p in points]
+    area = data.draw(_queries(areas, areas[0], areas[-1]))
+    assert capacity_at_area(table, tech, area) == loglog_interp(area, areas, caps)
+
+
 def test_capacity_at_area_anchor_exact():
     assert capacity_at_area(TABLE, SRAM, 0.5) == 183.0
     assert capacity_at_area(TABLE, MRAM, 0.5) == 512.0
@@ -284,6 +327,15 @@ def test_derive_custom_mode_reduced_amplitude():
     assert tech.write_energy_factor == pytest.approx(0.4, rel=1e-9)
     assert tech.wer == pytest.approx(8e-4, rel=1e-9)
     assert tech.wer > WER_BASELINE
+
+
+def test_derive_custom_mode_shorter_pulse_at_its_fitted_wer():
+    fit = _fit_through(100.0, 80.0, 1e-5)
+    base = WritePulse(100.0, 10.0)
+    tech = derive_custom_mode(fit, base, WritePulse(80.0, 5.0))
+    assert tech.write_latency_factor == 0.5
+    assert tech.write_energy_factor == pytest.approx(0.32, rel=1e-12)
+    assert tech.wer == pytest.approx(1e-5, rel=1e-9)
 
 
 def test_derive_custom_mode_rejects_off_baseline():

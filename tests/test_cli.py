@@ -148,6 +148,16 @@ def test_json_writer_matches_stdlib_on_edge_values():
            "n": [float("nan"), float("inf"), -float("inf"), None, True, False, [[], {}]],
            "\x00": {"b": {"c": 10 ** 30}}}
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # a dict writes a finite float value inline: every other value beside it
+    inline = {"f64": np.float64(0.1), "nan": float("nan"), "inf": float("inf"),
+              "-inf": -float("inf"), "-0": -0.0, "tiny": 5e-324, "one": 1.0, "int": 3,
+              "true": True, "none": None, "str": "1.5", "\u00e9": 2.5}
+    # one key at several depths, beside and inside a list
+    nested = {"k": {"k": {"k": 1.5, "j": [{"k": float("nan")}, {"k": -2.5}]}, "j": 0.5},
+              "j": [{"k": {"k": {}}}]}
+    # back to back, the second document reusing the first one's keys
+    for doc in (inline, nested, {"k": "k", "j": [inline, nested]}, inline):
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------ exit codes
@@ -200,7 +210,7 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
         assert run_cli(command, "--config", str(bad), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert f"unknown key(s) {key}" in err, err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_out_of_range_capacity_exits_one(tmp_path):
@@ -529,6 +539,36 @@ def test_system_compare_refuses_accelerator_buffer_size(tmp_path, capsys, key):
     cfg.write_text(json.dumps({"sweep": [32.0], "accelerator": {
         key: getattr(AcceleratorConfig(), key)}}))
     assert run_cli("system-compare", "--config", str(cfg), "--out", str(out)) == 0
+
+
+# a technology spec or workload that the run would refuse is refused with the
+# config, before the output directory is made, from a config file or a flag
+@pytest.mark.parametrize("command, doc, flags, message", [
+    ("array-sweep", {"technologies": ["mram_base", {"write_latency_factor": 0.1}]}, (),
+     "technologies: write_latency_factor or write_energy_factor < 1 requires wer above"),
+    ("array-sweep", {}, ("--technologies", "sram,flash"), "unknown technology 'flash'"),
+    ("system-compare", {"sweep": [32.0], "tech_a": {"write_latency_factor": 0.5}}, (),
+     "tech_a: write_latency_factor or write_energy_factor < 1 requires wer above"),
+    ("system-compare", {"sweep": [32.0]}, ("--tech-b", "flash"), "unknown technology 'flash'"),
+    ("system-compare", {"sweep": [32.0], "workload": []}, (),
+     "workload must be a non-empty list"),
+    ("system-compare", {"sweep": [32.0], "workload": [{"kind": "conv"}]}, (), "workload[0]"),
+    ("hetero-write", {"mantissa_mode": "flash"}, (), "unknown technology 'flash'"),
+    ("hetero-write", {"exponent_mode": {"write_latency_factor": 0.5, "wer": 0.0}}, (),
+     "exponent_mode: write_latency_factor or write_energy_factor < 1 requires wer above"),
+], ids=["array-sweep-shorter-write", "array-sweep-flag-name",
+        "system-compare-shorter-write", "system-compare-flag-name",
+        "system-compare-empty-workload", "system-compare-bad-layer", "hetero-write-name",
+        "hetero-write-shorter-write"])
+def test_refused_spec_makes_no_output_directory(tmp_path, capsys, command, doc, flags,
+                                                message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert not out.exists()
 
 
 def test_system_compare_rerun_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import components
 from spinpad.arraymodel import (
     ArrayMetrics,
     CalibrationTable,
@@ -166,8 +167,8 @@ def test_breakdown_additivity_and_nonnegative():
     trace = simulate_iteration(toy_vgg(8), CFG)
     m = metrics_at_capacity(TABLE, MRAM, 1024.0)
     rep = estimate_energy(trace, m, m, m, SystemEnergyConfig())
-    assert rep.total_nj == pytest.approx(sum(rep.components().values()), rel=1e-9)
-    assert all(v >= 0 for v in rep.components().values())
+    assert rep.total_nj == pytest.approx(sum(components(rep).values()), rel=1e-9)
+    assert all(v >= 0 for v in components(rep).values())
     for name in ("dram_nj", "onchip_nj", "leakage_nj", "compute_nj", "time_ns"):
         per_phase_sum = sum(getattr(pe, name) for pe in rep.per_phase.values())
         assert getattr(rep, name) == pytest.approx(per_phase_sum, rel=1e-9)
@@ -252,7 +253,7 @@ def test_iso_capacity_improvement_sweep():
 def test_leakage_dominates_at_large_capacity():
     pt = compare_iso_capacity(toy_vgg(64), CFG, ANCHOR_CAPS[-1], SRAM, MRAM)
     for report in (pt.report_a, pt.report_b):
-        parts = report.components()
+        parts = components(report)
         assert max(parts, key=parts.get) == "leakage_nj"
     # compute is negligible under the reference config
     assert pt.report_a.compute_nj < 0.01 * pt.report_a.total_nj
