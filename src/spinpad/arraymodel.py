@@ -31,7 +31,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError,
-                     OutOfRangeError, check_range)
+                     OutOfRangeError, bounded, check_fields, check_range)
 from .magnetics import LnWerFit, WER_BASELINE, WritePulse, relative_write_energy
 
 # Combined reduced-write-cost operating point: 53% latency / 60% energy
@@ -69,14 +69,12 @@ class MemoryTechnology:
     """A scratchpad technology plus its write operating point."""
 
     kind: TechnologyKind
-    write_latency_factor: float = 1.0
-    write_energy_factor: float = 1.0
-    wer: float = 0.0
+    write_latency_factor: float = bounded(POSITIVE, THROUGH_ONE, default=1.0)
+    write_energy_factor: float = bounded(POSITIVE, THROUGH_ONE, default=1.0)
+    wer: float = bounded(0.0, 1.0, default=0.0)
 
     def __post_init__(self) -> None:
-        check_range("write_latency_factor", self.write_latency_factor, POSITIVE, THROUGH_ONE)
-        check_range("write_energy_factor", self.write_energy_factor, POSITIVE, THROUGH_ONE)
-        check_range("wer", self.wer, 0.0, 1.0)
+        check_fields(self)
         own = (self.write_latency_factor, self.write_energy_factor, self.wer)
         preset = _PRESETS.get(self.kind, own)
         if own != preset:
@@ -105,24 +103,16 @@ class MemoryTechnology:
 class ArrayMetrics:
     """One array design point; the unit suffixes are the contract."""
 
-    capacity_kb: float
-    area_mm2: float
-    read_latency_ns: float
-    write_latency_ns: float
-    read_energy_pj: float
-    write_energy_pj: float
-    leakage_mw: float
-    wer: float = 0.0
+    capacity_kb: float = bounded(POSITIVE)
+    area_mm2: float = bounded(POSITIVE)
+    read_latency_ns: float = bounded(0.0)
+    write_latency_ns: float = bounded(0.0)
+    read_energy_pj: float = bounded(0.0)
+    write_energy_pj: float = bounded(0.0)
+    leakage_mw: float = bounded(0.0)
+    wer: float = bounded(0.0, 1.0, default=0.0)
 
-    def __post_init__(self) -> None:
-        check_range("capacity_kb", self.capacity_kb, POSITIVE)
-        check_range("area_mm2", self.area_mm2, POSITIVE)
-        check_range("read_latency_ns", self.read_latency_ns, 0.0)
-        check_range("write_latency_ns", self.write_latency_ns, 0.0)
-        check_range("read_energy_pj", self.read_energy_pj, 0.0)
-        check_range("write_energy_pj", self.write_energy_pj, 0.0)
-        check_range("leakage_mw", self.leakage_mw, 0.0)
-        check_range("wer", self.wer, 0.0, 1.0)
+    __post_init__ = check_fields
 
 
 # Fields interpolated in log-log space (wer comes from the technology instead).

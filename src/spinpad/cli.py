@@ -39,6 +39,7 @@ from .dataflow import (
     load_workload,
 )
 from .energy import (
+    MANTISSA_BITS,
     SegmentMap,
     SystemEnergyConfig,
     compare_iso_area,
@@ -46,7 +47,7 @@ from .energy import (
     hetero_write_energy,
 )
 from .errors import (FINITE, POSITIVE, ConfigError, InvalidParameterError, SpinpadError,
-                     check_int, check_range, config_from)
+                     bounded, check_fields, check_range, config_from)
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -152,7 +153,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def _tech_from_spec(spec, where: str) -> MemoryTechnology:
     """A technology's preset name, or an object of mram_custom factors."""
     if isinstance(spec, str):
-        return MemoryTechnology.from_name(spec)
+        try:
+            return MemoryTechnology.from_name(spec)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return config_from(MemoryTechnology, spec, where, kind=TechnologyKind.MRAM_CUSTOM)
 
 
@@ -167,9 +171,16 @@ def _workload_from_config(items, where: str) -> list[LayerSpec]:
     return [layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
+def _listed(name: str, values):
+    """The value of a list-valued key, refused unless it is a list or a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 def _floats(name: str, values, lo: float = FINITE) -> tuple[float, ...]:
     """A config's list of numbers as floats, each checked to lie in [lo, inf)."""
-    for value in values:
+    for value in _listed(name, values):
         check_range(name, value, lo)
     return tuple(map(float, values))
 
@@ -207,12 +218,12 @@ class _WerSweep:
     simulation: MagSimConfig = MagSimConfig(trials=200, seed=20240817)
     durations_ns: tuple[float, ...] = (20.0,)
     amplitudes_ua: tuple[float, ...] = (50.0, 56.0, 62.0, 68.0, 74.0)
-    workers: int = 1
+    workers: int = bounded(1, default=1, integer=True)
 
     def __post_init__(self) -> None:
         self.durations_ns = _floats("durations_ns", self.durations_ns, POSITIVE)
         self.amplitudes_ua = _floats("amplitudes_ua", self.amplitudes_ua, 0.0)
-        check_int("workers", self.workers)
+        check_fields(self)
 
 
 def _resolve_wer_sweep(args) -> _WerSweep:
@@ -269,7 +280,7 @@ class _ArraySweep:
 
     def __post_init__(self) -> None:
         self.capacities_kb = _floats("capacities_kb", self.capacities_kb)
-        for spec in self.technologies:
+        for spec in _listed("technologies", self.technologies):
             _tech_from_spec(spec, "technologies")
 
 
@@ -405,12 +416,11 @@ class _HeteroWrite:
     sign_mode: str | dict = "mram_base"
     exponent_mode: str | dict = "mram_base"
     mantissa_mode: str | dict = "mram_low_duration"
-    mantissa_bits: int = 23
-    bit_energy_pj: float = 1.0
+    mantissa_bits: int = bounded(0, MANTISSA_BITS + 1, default=MANTISSA_BITS, integer=True)
+    bit_energy_pj: float = bounded(POSITIVE, default=1.0)
 
     def __post_init__(self) -> None:
-        check_int("mantissa_bits", self.mantissa_bits)
-        check_range("bit_energy_pj", self.bit_energy_pj, POSITIVE)
+        check_fields(self)
         self.bit_energy_pj = float(self.bit_energy_pj)
         for name in ("sign_mode", "exponent_mode", "mantissa_mode"):
             _tech_from_spec(getattr(self, name), name)

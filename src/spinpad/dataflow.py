@@ -44,14 +44,14 @@ DRAM read/write counts in the trace are in elements; the energy model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import inf
 from pathlib import Path
 
 from .errors import (POSITIVE, ConfigError, InvalidLayerError, InvalidParameterError,
-                     NotAGemmError, check_int, check_range, config_from)
+                     NotAGemmError, bounded, check_fields, config_from)
 
 
 class Phase(str, Enum):
@@ -71,27 +71,19 @@ class Store(str, Enum):
 ELEMENT_BYTES = 4  # binary32
 
 
-def _check_counts(shape) -> None:
-    """Every field of a layer or GEMM is an integer >= 1; padding may be 0."""
-    for f in fields(shape):
-        value = getattr(shape, f.name)
-        check_int(f.name, value)
-        check_range(f.name, value, 0 if f.name == "padding" else 1)
-
-
 @dataclass(frozen=True)
 class Conv:
-    batch: int
-    in_channels: int
-    in_height: int
-    in_width: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
+    batch: int = bounded(1, integer=True)
+    in_channels: int = bounded(1, integer=True)
+    in_height: int = bounded(1, integer=True)
+    in_width: int = bounded(1, integer=True)
+    out_channels: int = bounded(1, integer=True)
+    kernel: int = bounded(1, integer=True)
+    stride: int = bounded(1, default=1, integer=True)
+    padding: int = bounded(0, default=0, integer=True)
 
     def __post_init__(self) -> None:
-        _check_counts(self)
+        check_fields(self)
         if (self.kernel > self.in_height + 2 * self.padding
                 or self.kernel > self.in_width + 2 * self.padding):
             raise InvalidLayerError("kernel larger than padded input")
@@ -99,12 +91,11 @@ class Conv:
 
 @dataclass(frozen=True)
 class FullyConnected:
-    batch: int
-    in_features: int
-    out_features: int
+    batch: int = bounded(1, integer=True)
+    in_features: int = bounded(1, integer=True)
+    out_features: int = bounded(1, integer=True)
 
-    def __post_init__(self) -> None:
-        _check_counts(self)
+    __post_init__ = check_fields
 
 
 LayerSpec = Conv | FullyConnected
@@ -112,19 +103,13 @@ LayerSpec = Conv | FullyConnected
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
-    rows: int = 256
-    cols: int = 256
-    activation_buffer_kb: float = 1024.0
-    weight_buffer_kb: float = 1024.0
-    error_buffer_kb: float = 1024.0
+    rows: int = bounded(1, default=256, integer=True)
+    cols: int = bounded(1, default=256, integer=True)
+    activation_buffer_kb: float = bounded(POSITIVE, default=1024.0)
+    weight_buffer_kb: float = bounded(POSITIVE, default=1024.0)
+    error_buffer_kb: float = bounded(POSITIVE, default=1024.0)
 
-    def __post_init__(self) -> None:
-        for name in ("rows", "cols"):
-            check_int(name, getattr(self, name))
-        check_range("rows", self.rows, 1)
-        check_range("cols", self.cols, 1)
-        for name in ("activation_buffer_kb", "weight_buffer_kb", "error_buffer_kb"):
-            check_range(name, getattr(self, name), POSITIVE)
+    __post_init__ = check_fields
 
     def buffer_bytes(self, store: Store) -> int:
         kb = {
@@ -137,12 +122,11 @@ class AcceleratorConfig:
 
 @dataclass(frozen=True)
 class GemmShape:
-    m_rows: int
-    k_depth: int
-    n_cols: int
+    m_rows: int = bounded(1, integer=True)
+    k_depth: int = bounded(1, integer=True)
+    n_cols: int = bounded(1, integer=True)
 
-    def __post_init__(self) -> None:
-        _check_counts(self)
+    __post_init__ = check_fields
 
 
 def out_dims(layer: Conv) -> tuple[int, int]:

@@ -39,7 +39,7 @@ from .dataflow import (
     Store,
     simulate_iteration,
 )
-from .errors import POSITIVE, check_int, check_range
+from .errors import POSITIVE, bounded, check_fields, check_range
 
 SIGN_BITS = 1
 EXPONENT_BITS = 8
@@ -51,18 +51,13 @@ WORD_BITS = SIGN_BITS + EXPONENT_BITS + MANTISSA_BITS
 class SystemEnergyConfig:
     """Reference system constants; every value is an explicit modeling input."""
 
-    dram_energy_per_access_nj: float = 10.0  # per burst-sized (64 B) access
-    dram_latency_ns: float = 50.0
-    mac_energy_pj: float = 2.0
-    clock_ghz: float = 1.0  # the accelerator clock, the only one the models read
-    dram_burst_elements: int = 16
+    dram_energy_per_access_nj: float = bounded(POSITIVE, default=10.0)  # per 64 B burst
+    dram_latency_ns: float = bounded(POSITIVE, default=50.0)
+    mac_energy_pj: float = bounded(POSITIVE, default=2.0)
+    clock_ghz: float = bounded(POSITIVE, default=1.0)  # the only clock the models read
+    dram_burst_elements: int = bounded(1, default=16, integer=True)
 
-    def __post_init__(self) -> None:
-        for name in ("dram_energy_per_access_nj", "dram_latency_ns",
-                     "mac_energy_pj", "clock_ghz"):
-            check_range(name, getattr(self, name), POSITIVE)
-        check_int("dram_burst_elements", self.dram_burst_elements)
-        check_range("dram_burst_elements", self.dram_burst_elements, 1)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -218,12 +213,10 @@ class SegmentMap:
     sign: MemoryTechnology
     exponent: MemoryTechnology
     mantissa: MemoryTechnology
-    mantissa_bits_on_optimized: int = MANTISSA_BITS
+    mantissa_bits_on_optimized: int = bounded(0, MANTISSA_BITS + 1, default=MANTISSA_BITS,
+                                              integer=True)
 
-    def __post_init__(self) -> None:
-        check_int("mantissa_bits_on_optimized", self.mantissa_bits_on_optimized)
-        check_range("mantissa_bits_on_optimized", self.mantissa_bits_on_optimized, 0,
-                    MANTISSA_BITS + 1)
+    __post_init__ = check_fields
 
     def word_energy_factor(self) -> float:
         """Per-word write-energy factor relative to an all-base-mode word."""

@@ -1,10 +1,18 @@
-"""Exception types shared across the simulator layers, and the one strict
-constructor that builds every config object from its JSON section."""
+"""Exception types shared across the simulator layers, the bound checks, and
+the one strict constructor that builds every config object from its JSON
+section.
 
+One declaration per bound: a config dataclass declares each number's bound
+once, on its field, with bounded(), and check_fields enforces every declared
+bound. Only what a field cannot declare is written by hand: a function
+argument, each element of a sequence, and a rule that ties fields together.
+"""
+
+import functools
 import math
 import numbers
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, field, fields, is_dataclass, replace
 
 
 class SpinpadError(Exception):
@@ -68,6 +76,28 @@ def check_range(name: str, value, lo: float, hi: float = math.inf) -> None:
         pass
     raise InvalidParameterError(
         f"{name} must be a finite number in [{lo!r}, {hi!r}), got {value!r}")
+
+
+def bounded(lo: float, hi: float = math.inf, default=MISSING, integer: bool = False):
+    """A dataclass field whose value check_fields keeps in [lo, hi), as an
+    integer when `integer` is set."""
+    return field(default=default, metadata={"bound": (lo, hi, integer)})
+
+
+@functools.cache
+def _bounds(cls) -> tuple:
+    """(name, lo, hi, integer) of each bounded field of cls, in declaration order."""
+    return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
+
+
+def check_fields(obj) -> None:
+    """Run check_int and check_range on each bounded field of a dataclass
+    instance, in declaration order; a config's __post_init__ calls it."""
+    for name, lo, hi, integer in _bounds(type(obj)):
+        value = getattr(obj, name)
+        if integer:
+            check_int(name, value)
+        check_range(name, value, lo, hi)
 
 
 def config_from(base, section, where: str, **fixed):

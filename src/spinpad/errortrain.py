@@ -45,8 +45,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError, check_int,
-                     check_range, config_from)
+from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError, bounded,
+                     check_fields, check_int, check_range, config_from)
 from .magnetics import derive_stream, derive_streams
 
 SIGN_BIT = 31
@@ -68,17 +68,13 @@ _WRITE_KINDS = (_K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS)
 class SegmentErrorConfig:
     """Per-segment bit flip probabilities for one scratchpad's writes."""
 
-    sign_wer: float = 0.0
-    exponent_wer: float = 0.0
-    mantissa_wer: float = 0.0
-    affected_mantissa_bits: int = MANTISSA_SPAN  # lowest-order bits at risk
+    sign_wer: float = bounded(0.0, THROUGH_ONE, default=0.0)
+    exponent_wer: float = bounded(0.0, THROUGH_ONE, default=0.0)
+    mantissa_wer: float = bounded(0.0, THROUGH_ONE, default=0.0)
+    affected_mantissa_bits: int = bounded(0, MANTISSA_SPAN + 1, default=MANTISSA_SPAN,
+                                          integer=True)  # lowest-order bits at risk
 
-    def __post_init__(self) -> None:
-        for name in ("sign_wer", "exponent_wer", "mantissa_wer"):
-            check_range(name, getattr(self, name), 0.0, THROUGH_ONE)
-        check_int("affected_mantissa_bits", self.affected_mantissa_bits)
-        check_range("affected_mantissa_bits", self.affected_mantissa_bits, 0,
-                    MANTISSA_SPAN + 1)
+    __post_init__ = check_fields
 
     @property
     def is_zero(self) -> bool:
@@ -197,28 +193,23 @@ class TinyNetSpec:
 
     layer_sizes: tuple[int, ...] = (2, 32, 32, 2)
     activation: str = "tanh"
-    learning_rate: float = 0.2
-    batch_size: int = 32
-    epochs: int = 30
-    seed: int = 0
+    learning_rate: float = bounded(POSITIVE, default=0.2)
+    batch_size: int = bounded(1, default=32, integer=True)
+    epochs: int = bounded(1, default=30, integer=True)
+    seed: int = bounded(0, default=0, integer=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         for i, size in enumerate(self.layer_sizes):
             check_int(f"layer_sizes[{i}]", size)
             check_range(f"layer_sizes[{i}]", size, 1)
-        for name in ("batch_size", "epochs", "seed"):
-            check_int(name, getattr(self, name))
-        check_range("seed", self.seed, 0)
+        check_fields(self)
         if len(self.layer_sizes) < 2:
             raise InvalidParameterError("need at least input and output sizes")
         if self.activation not in _ACTIVATIONS:
             raise InvalidParameterError(
                 f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
             )
-        check_range("learning_rate", self.learning_rate, POSITIVE)
-        check_range("batch_size", self.batch_size, 1)
-        check_range("epochs", self.epochs, 1)
 
 
 def _activation_pair(tag: str):
@@ -413,24 +404,19 @@ class ExperimentConfig:
     net: TinyNetSpec
     binding: BufferErrorBinding = BufferErrorBinding()
     seeds: tuple[int, ...] = (1, 2, 3)
-    n_train: int = 400
-    n_test: int = 200
-    noise: float = 0.3
-    dataset_seed: int = 7
+    n_train: int = bounded(1, default=400, integer=True)
+    n_test: int = bounded(1, default=200, integer=True)
+    noise: float = bounded(0.0, default=0.3)
+    dataset_seed: int = bounded(0, default=7, integer=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for i, seed in enumerate(self.seeds):
             check_int(f"seeds[{i}]", seed)
             check_range(f"seeds[{i}]", seed, 0)
-        for name in ("n_train", "n_test", "dataset_seed"):
-            check_int(name, getattr(self, name))
-        check_range("dataset_seed", self.dataset_seed, 0)
+        check_fields(self)
         if not self.seeds:
             raise InvalidParameterError("need at least one seed")
-        check_range("n_train", self.n_train, 1)
-        check_range("n_test", self.n_test, 1)
-        check_range("noise", self.noise, 0.0)
 
     def dataset(self) -> Dataset:
         return make_moons_dataset(self.n_train, self.n_test, self.noise,

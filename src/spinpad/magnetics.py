@@ -85,6 +85,8 @@ from .errors import (
     InvalidFitError,
     InvalidParameterError,
     NumericalFailureError,
+    bounded,
+    check_fields,
     check_int,
     check_range,
 )
@@ -110,25 +112,17 @@ class MtjDevice:
     stt_efficiency, in uA.
     """
 
-    fl_thickness_nm: float = 1.0
-    lateral_x_nm: float = 35.0
-    lateral_y_nm: float = 35.0
-    saturation_magnetization_emu_cc: float = 1200.0
-    damping: float = 0.006
-    temperature_k: float = 300.0
-    thermal_stability: float = 55.0
-    stt_efficiency_kbt_per_ua: float = 1.15
-    gyromagnetic_ratio_oe: float = GYRO_OE
+    fl_thickness_nm: float = bounded(POSITIVE, default=1.0)
+    lateral_x_nm: float = bounded(POSITIVE, default=35.0)
+    lateral_y_nm: float = bounded(POSITIVE, default=35.0)
+    saturation_magnetization_emu_cc: float = bounded(POSITIVE, default=1200.0)
+    damping: float = bounded(POSITIVE, 1.0, default=0.006)
+    temperature_k: float = bounded(0.0, default=300.0)
+    thermal_stability: float = bounded(20.0, math.nextafter(100.0, math.inf), default=55.0)
+    stt_efficiency_kbt_per_ua: float = bounded(POSITIVE, default=1.15)
+    gyromagnetic_ratio_oe: float = bounded(POSITIVE, default=GYRO_OE)
 
-    def __post_init__(self):
-        for name in ("fl_thickness_nm", "lateral_x_nm", "lateral_y_nm",
-                     "saturation_magnetization_emu_cc", "stt_efficiency_kbt_per_ua",
-                     "gyromagnetic_ratio_oe"):
-            check_range(name, getattr(self, name), POSITIVE)
-        check_range("damping", self.damping, POSITIVE, 1.0)
-        check_range("temperature_k", self.temperature_k, 0.0)
-        check_range("thermal_stability", self.thermal_stability, 20.0,
-                    math.nextafter(100.0, math.inf))
+    __post_init__ = check_fields
 
     @property
     def volume_cm3(self) -> float:
@@ -152,12 +146,10 @@ class MtjDevice:
 class WritePulse:
     """Rectangular current pulse in the switching polarity."""
 
-    amplitude_ua: float
-    duration_ns: float
+    amplitude_ua: float = bounded(0.0)
+    duration_ns: float = bounded(POSITIVE)
 
-    def __post_init__(self):
-        check_range("amplitude_ua", self.amplitude_ua, 0.0)
-        check_range("duration_ns", self.duration_ns, POSITIVE)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -170,36 +162,26 @@ class MagSimConfig:
     Setting it for a device at T > 0 is an error.
     """
 
-    time_step_ps: float = 1.0
-    relax_time_ns: float = 5.0
-    trials: int = 20000
-    seed: int = 12345
+    time_step_ps: float = bounded(POSITIVE, math.nextafter(10.0, math.inf), default=1.0)
+    relax_time_ns: float = bounded(0.0, default=5.0)
+    trials: int = bounded(1, default=20000, integer=True)
+    seed: int = bounded(0, default=12345, integer=True)
     initial_tilt_rad: float | None = None
 
     def __post_init__(self):
-        check_int("trials", self.trials)
-        check_int("seed", self.seed)
-        check_range("time_step_ps", self.time_step_ps, POSITIVE, math.nextafter(10.0, math.inf))
-        check_range("relax_time_ns", self.relax_time_ns, 0.0)
-        check_range("trials", self.trials, 1)
-        check_range("seed", self.seed, 0)
+        check_fields(self)
         if self.initial_tilt_rad is not None:
             check_range("initial_tilt_rad", self.initial_tilt_rad, 0.0, math.pi / 2)
 
 
 @dataclass(frozen=True)
 class WerPoint:
-    amplitude_ua: float
-    duration_ns: float
-    trials: int
-    p_switch: float
+    amplitude_ua: float = bounded(0.0)
+    duration_ns: float = bounded(POSITIVE)
+    trials: int = bounded(1, integer=True)
+    p_switch: float = bounded(0.0, THROUGH_ONE)
 
-    def __post_init__(self) -> None:
-        check_range("amplitude_ua", self.amplitude_ua, 0.0)
-        check_range("duration_ns", self.duration_ns, POSITIVE)
-        check_int("trials", self.trials)
-        check_range("trials", self.trials, 1)
-        check_range("p_switch", self.p_switch, 0.0, THROUGH_ONE)
+    __post_init__ = check_fields
 
     @property
     def ln_wer(self) -> float:

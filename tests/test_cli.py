@@ -234,13 +234,15 @@ def test_flag_the_subcommand_does_not_read_exits_one(argv, tmp_path):
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
-def test_worker_count_below_one_exits_one(how, tmp_path):
+def test_worker_count_below_one_exits_one(how, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 0}))
     argv = ["--workers", "-4"] if how == "flag" else ["--config", str(cfg)]
     out = tmp_path / "o"
     assert run_cli("wer-sweep", "--trials", "1", *argv, "--out", str(out)) == 1
-    assert not (out / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert "workers must be" in err, err
+    assert not out.exists()
 
 
 _CONFIG_COMMANDS = {"wer_sweep_": "wer-sweep", "compare_": "system-compare",
@@ -546,20 +548,31 @@ def test_system_compare_refuses_accelerator_buffer_size(tmp_path, capsys, key):
 @pytest.mark.parametrize("command, doc, flags, message", [
     ("array-sweep", {"technologies": ["mram_base", {"write_latency_factor": 0.1}]}, (),
      "technologies: write_latency_factor or write_energy_factor < 1 requires wer above"),
-    ("array-sweep", {}, ("--technologies", "sram,flash"), "unknown technology 'flash'"),
+    ("array-sweep", {}, ("--technologies", "sram,flash"),
+     "technologies: unknown technology 'flash'"),
     ("system-compare", {"sweep": [32.0], "tech_a": {"write_latency_factor": 0.5}}, (),
      "tech_a: write_latency_factor or write_energy_factor < 1 requires wer above"),
-    ("system-compare", {"sweep": [32.0]}, ("--tech-b", "flash"), "unknown technology 'flash'"),
+    ("system-compare", {"sweep": [32.0]}, ("--tech-b", "flash"),
+     "tech_b: unknown technology 'flash'"),
     ("system-compare", {"sweep": [32.0], "workload": []}, (),
      "workload must be a non-empty list"),
     ("system-compare", {"sweep": [32.0], "workload": [{"kind": "conv"}]}, (), "workload[0]"),
-    ("hetero-write", {"mantissa_mode": "flash"}, (), "unknown technology 'flash'"),
+    ("hetero-write", {"mantissa_mode": "flash"}, (),
+     "mantissa_mode: unknown technology 'flash'"),
     ("hetero-write", {"exponent_mode": {"write_latency_factor": 0.5, "wer": 0.0}}, (),
      "exponent_mode: write_latency_factor or write_energy_factor < 1 requires wer above"),
+    # a list-valued key takes a list, not a string of its items or one number
+    ("array-sweep", {"technologies": "sram"}, (), "technologies must be a list, got 'sram'"),
+    ("array-sweep", {"technologies": 5}, (), "technologies must be a list, got 5"),
+    ("system-compare", {"sweep": 5}, (), "sweep must be a list, got 5"),
+    ("system-compare", {"sweep": "32"}, (), "sweep must be a list, got '32'"),
+    ("wer-sweep", {"durations_ns": 20}, (), "durations_ns must be a list, got 20"),
 ], ids=["array-sweep-shorter-write", "array-sweep-flag-name",
         "system-compare-shorter-write", "system-compare-flag-name",
         "system-compare-empty-workload", "system-compare-bad-layer", "hetero-write-name",
-        "hetero-write-shorter-write"])
+        "hetero-write-shorter-write", "array-sweep-string-technologies",
+        "array-sweep-number-technologies", "system-compare-number-sweep",
+        "system-compare-string-sweep", "wer-sweep-number-durations"])
 def test_refused_spec_makes_no_output_directory(tmp_path, capsys, command, doc, flags,
                                                 message):
     cfg = tmp_path / "cfg.json"
@@ -602,12 +615,14 @@ def test_hetero_write_json_reports_word_improvement(tmp_path):
     assert doc["improvement"] == pytest.approx(1.0 / 0.56875)
 
 
-def test_hetero_write_invalid_split_writes_nothing(tmp_path):
+def test_hetero_write_invalid_split_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mantissa_bits": 30}))
     out = tmp_path / "o"
     assert run_cli("hetero-write", "--config", str(cfg), "--out", str(out)) == 1
-    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert "mantissa_bits must be" in err, err
+    assert not out.exists()
 
 
 def test_hetero_write_flag_overrides_bits(tmp_path):

@@ -3,17 +3,24 @@
 A closed end is written as the next float above it (or the next integer), so
 each bound must still accept its inclusive ends and reject the nearest value
 outside them; a NaN, an infinity or a bool never passes.
+
+One declaration per bound: each int or float field of a config dataclass
+declares its bound once, with errors.bounded, and errors.check_fields
+enforces it however the object is built.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from spinpad.arraymodel import ArrayMetrics, MemoryTechnology, TechnologyKind
-from spinpad.dataflow import Conv, GemmShape
-from spinpad.energy import SegmentMap
-from spinpad.errors import POSITIVE, InvalidParameterError, check_range
+from spinpad.cli import _HeteroWrite, _WerSweep
+from spinpad.dataflow import AcceleratorConfig, Conv, FullyConnected, GemmShape
+from spinpad.energy import SegmentMap, SystemEnergyConfig
+from spinpad.errors import (POSITIVE, ConfigError, InvalidParameterError, check_range,
+                            config_from)
 from spinpad.errortrain import ExperimentConfig, SegmentErrorConfig, TinyNetSpec
 from spinpad.magnetics import (LnWerFit, MagSimConfig, MtjDevice, WerPoint, WritePulse,
                                required_amplitude)
@@ -80,6 +87,8 @@ BOUNDS = [
      (-1,)),
     ("padding", lambda v: Conv(1, 1, 4, 4, 1, 3, padding=v), (0,), (-1,)),
     ("m_rows", lambda v: GemmShape(v, 1, 1), (1,), (0,)),
+    ("workers", lambda v: _WerSweep(workers=v), (1,), (0,)),
+    ("hetero-write mantissa_bits", lambda v: _HeteroWrite(mantissa_bits=v), (0, 23), (-1, 24)),
 ]
 
 
@@ -109,3 +118,39 @@ def test_check_range_rejects_what_is_not_one_number(value):
 def test_check_range_accepts_numpy_scalars():
     check_range("key", np.float64(0.5), 0.0, 1.0)
     check_range("key", np.int64(3), 1)
+
+
+_BASE = MemoryTechnology.from_name("mram_base")
+
+# one valid instance of every config dataclass whose numbers carry a bound
+CONFIGS = [MtjDevice(), WritePulse(1.0, 1.0), MagSimConfig(), WerPoint(50.0, 1.0, 10, 0.5),
+           _BASE, ArrayMetrics(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+           Conv(1, 1, 4, 4, 1, 3), FullyConnected(1, 1, 1), GemmShape(1, 1, 1),
+           AcceleratorConfig(), SystemEnergyConfig(), SegmentMap(_BASE, _BASE, _BASE),
+           SegmentErrorConfig(), TinyNetSpec(), ExperimentConfig(net=TinyNetSpec()),
+           _WerSweep(), _HeteroWrite()]
+
+
+@pytest.mark.parametrize("cls", [type(c) for c in CONFIGS], ids=lambda c: c.__name__)
+def test_every_config_number_declares_its_bound(cls):
+    # optional and sequence fields are annotated otherwise and keep their own checks
+    numbers = [f for f in fields(cls) if f.type in (int, float, "int", "float")]
+    assert numbers
+    assert [f.name for f in numbers if "bound" not in f.metadata] == []
+
+
+BOUNDED = [(c, f) for c in CONFIGS for f in fields(c) if "bound" in f.metadata]
+
+
+@pytest.mark.parametrize("obj,f", BOUNDED,
+                         ids=[f"{type(c).__name__}.{f.name}" for c, f in BOUNDED])
+def test_declared_bound_holds_through_replace_and_config_from(obj, f):
+    """The CLI's flags set a field through dataclasses.replace, a config file
+    through config_from; both refuse the nearest value below the bound."""
+    lo, _, integer = f.metadata["bound"]
+    name, value = f.name, lo - 1 if integer else math.nextafter(lo, -math.inf)
+    message = f"{name} must be a finite number in"
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        replace(obj, **{name: value})
+    with pytest.raises(ConfigError, match=f"^cfg: {message}"):
+        config_from(obj, {name: value}, "cfg")
