@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of benchmark workloads.
 
-    python3 scripts/bench_pairs.py --workload system-dse --base HEAD~1 --pairs 10
+    python3 scripts/bench_pairs.py --workload train-inject system-dse --base HEAD~1
 
 Run it from the root of a checkout: that checkout is the change side. The
-parent side is a temporary `git worktree --detach` of --base, removed on
-exit. Pair i runs `python3 bench/run.py --trace 0` on both sides with seed
---seed + i; even pairs run the parent first, odd pairs the change. Before
-every run the side's src/spinpad/__pycache__ is deleted, so no run imports
-bytecode compiled from other sources. The script prints, for each
-end-to-end metric of BENCHMARK.json, both medians, the parent's
+parent side is a `git archive` of --base unpacked in a temporary directory,
+removed on exit. For each workload in turn, pair i runs `python3
+bench/run.py --trace 0` on both sides with seed --seed + i; even pairs run
+the parent first, odd pairs the change. Before every run the side's
+src/spinpad/__pycache__ is deleted, so no run imports bytecode compiled
+from other sources. The script then prints one block per workload: for
+each end-to-end metric of BENCHMARK.json, both medians, the parent's
 interquartile range and the pairs the change won, then the failed calls of
 each side. It writes nothing under bench/; bench/run.py writes .bench_work/.
 """
@@ -56,7 +57,7 @@ def summary(spec: dict, parent: list[dict], change: list[dict]) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+")
     ap.add_argument("--base", required=True, help="git ref of the parent side")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=2001, help="seed of the first pair")
@@ -64,24 +65,26 @@ def main() -> int:
     args = ap.parse_args()
     change = Path.cwd()
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    parent = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "tree"
-    subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.base],
-                   check=True, capture_output=True)
-    results = {parent: [], change: []}
+    parent = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    results = {w: {parent: [], change: []} for w in args.workload}
     try:
-        for i in range(args.pairs):
-            seed = args.seed + i
-            for side in (parent, change) if i % 2 == 0 else (change, parent):
-                results[side].append(run(side, args.workload, seed, args.seconds))
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
-                  f"{results[parent][-1]['metrics']['wall_s']['value']:.4f} change "
-                  f"{results[change][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
+        archive = subprocess.run(["git", "archive", args.base], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        for workload, runs in results.items():
+            for i in range(args.pairs):
+                seed = args.seed + i
+                for side in (parent, change) if i % 2 == 0 else (change, parent):
+                    runs[side].append(run(side, workload, seed, args.seconds))
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
+                      f"{runs[parent][-1]['metrics']['wall_s']['value']:.4f} change "
+                      f"{runs[change][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent)], check=False)
-        shutil.rmtree(parent.parent, ignore_errors=True)
-    print(f"workload {args.workload}, {args.pairs} pairs, {args.seconds:g} s windows, "
-          f"parent {args.base}")
-    summary(spec, results[parent], results[change])
+        shutil.rmtree(parent, ignore_errors=True)
+    for workload, runs in results.items():
+        print(f"\nworkload {workload}, {args.pairs} pairs, {args.seconds:g} s windows, "
+              f"parent {args.base}")
+        summary(spec, runs[parent], runs[change])
     return 0
 
 

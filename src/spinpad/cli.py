@@ -47,7 +47,7 @@ from .energy import (
     hetero_write_energy,
 )
 from .errors import (FINITE, POSITIVE, ConfigError, InvalidParameterError, SpinpadError,
-                     bounded, check_fields, check_range, config_from)
+                     bounded, check_fields, check_range, config_from, listed)
 from .errortrain import experiment_from_dict, run_experiment
 from .magnetics import (
     MagSimConfig,
@@ -171,16 +171,9 @@ def _workload_from_config(items, where: str) -> list[LayerSpec]:
     return [layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
-def _listed(name: str, values):
-    """The value of a list-valued key, refused unless it is a list or a tuple."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    return values
-
-
 def _floats(name: str, values, lo: float = FINITE) -> tuple[float, ...]:
     """A config's list of numbers as floats, each checked to lie in [lo, inf)."""
-    for value in _listed(name, values):
+    for value in listed(name, values):
         check_range(name, value, lo)
     return tuple(map(float, values))
 
@@ -280,7 +273,7 @@ class _ArraySweep:
 
     def __post_init__(self) -> None:
         self.capacities_kb = _floats("capacities_kb", self.capacities_kb)
-        for spec in _listed("technologies", self.technologies):
+        for spec in listed("technologies", self.technologies):
             _tech_from_spec(spec, "technologies")
 
 

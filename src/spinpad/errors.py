@@ -57,6 +57,13 @@ def check_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def listed(name: str, values):
+    """The value of a list-valued key, refused unless it is a list or a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 POSITIVE = math.ulp(0.0)  # as lo, check_range admits exactly the numbers > 0
 FINITE = -sys.float_info.max  # as lo, check_range admits every finite number < hi
 THROUGH_ONE = math.nextafter(1.0, math.inf)  # as hi, check_range admits 1.0 and below

@@ -18,7 +18,7 @@ trainer's hook injects, the default hook keeps the tensor as written.
 Randomness is derived per write event from a counter-style key
 (seed, kind, epoch, batch, layer), making the training curve a pure function
 of (network spec, dataset, binding, seed) regardless of execution order.
-The keys of one epoch's write events are derived as one table
+An epoch's write events re-key one Philox from one table of keys
 (magnetics.derive_streams). Each write event draws one uniform per element
 and bit at risk, bit by bit in the order sign, exponent bits 23..30,
 mantissa bits 0..span-1. A draw covers k consecutive bits of one segment,
@@ -33,8 +33,8 @@ random() makes u = (w >> 11) * 2**-53 from one raw 64-bit word w, and
 random_raw yields the same words, so the test is made on the words
 themselves: u < p exactly when (w >> 11) < ceil(p * 2**53), that is when
 w <= ceil(p * 2**53) * 2**11 - 1, for every p in (0, 1]; p = 1 gives
-2**64 - 1 and always flips. Only the hits, about p of the draws, are
-scattered into the XOR mask.
+2**64 - 1 and always flips. Only the hits, about p of the draws, are XORed
+into the output's uint32 words, in place; no bit is drawn twice.
 """
 
 from __future__ import annotations
@@ -42,18 +42,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (POSITIVE, THROUGH_ONE, ConfigError, InvalidParameterError, bounded,
-                     check_fields, check_int, check_range, config_from)
+                     check_fields, check_int, check_range, config_from, listed)
 from .magnetics import derive_stream, derive_streams
 
 SIGN_BIT = 31
 EXPONENT_BITS = range(23, 31)
 MANTISSA_SPAN = 23
 
-# Bound on the uniforms one draw of _flip_mask holds (see the module
+# Bound on the uniforms one draw of _flip_bits holds (see the module
 # docstring); it keeps the memory of a large tensor's injection bounded.
 _DRAW_CAP = 1 << 16
 
@@ -61,7 +62,6 @@ _ACTIVATIONS = ("tanh", "relu")
 
 # Stream kinds for counter-based randomness derivation.
 _K_INIT, _K_SHUFFLE, _K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS, _K_DATA = range(7)
-_WRITE_KINDS = (_K_ACT, _K_ERR, _K_WEIGHT, _K_BIAS)
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,18 @@ class SegmentErrorConfig:
     def is_zero(self) -> bool:
         return self.sign_wer == self.exponent_wer == self.mantissa_wer == 0.0
 
+    @functools.cached_property
+    def bit_plan(self) -> tuple[tuple[np.ndarray, np.uint64], ...]:
+        """(bit values, raw-word hit limit) of each segment at risk, in draw order."""
+        plan = []
+        for p, segment in ((self.sign_wer, (SIGN_BIT,)),
+                           (self.exponent_wer, EXPONENT_BITS),
+                           (self.mantissa_wer, range(self.affected_mantissa_bits))):
+            if p > 0.0:  # random() < p  <=>  word < ceil(p * 2**53) * 2**11
+                bits = np.array([1 << bit for bit in segment], dtype=np.uint32)
+                plan.append((bits, np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)))
+        return tuple(plan)
+
 
 @dataclass(frozen=True)
 class BufferErrorBinding:
@@ -91,60 +103,41 @@ class BufferErrorBinding:
 
     @property
     def is_zero(self) -> bool:
-        return (self.activations.is_zero and self.weights.is_zero
-                and self.errors.is_zero)
+        return self.activations.is_zero and self.weights.is_zero and self.errors.is_zero
 
 
-@dataclass(frozen=True)
-class InjectionStats:
+class InjectionStats(NamedTuple):
     bit_flips: int
     sanitized: int
 
 
-@functools.lru_cache(maxsize=64)
-def _bit_plan(cfg: SegmentErrorConfig) -> tuple[tuple[np.ndarray, np.uint64], ...]:
-    """(bit values, raw-word hit limit) of each segment at risk, in draw order."""
-    plan = []
-    for p, segment in ((cfg.sign_wer, (SIGN_BIT,)),
-                       (cfg.exponent_wer, EXPONENT_BITS),
-                       (cfg.mantissa_wer, range(cfg.affected_mantissa_bits))):
-        if p > 0.0:  # random() < p  <=>  word < ceil(p * 2**53) * 2**11
-            bits = np.array([1 << bit for bit in segment], dtype=np.uint32)
-            bits.flags.writeable = False  # the cache hands it to every caller
-            plan.append((bits, np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)))
-    return tuple(plan)
-
-
-def _flip_mask(shape: tuple[int, ...], cfg: SegmentErrorConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Per-element uint32 XOR mask and flip count, drawn in blocks of bits."""
-    n = math.prod(shape)
+def _flip_bits(words: np.ndarray, cfg: SegmentErrorConfig, bitgen: np.random.BitGenerator) -> int:
+    """XOR each hit into the flat uint32 words in place; the number of flips."""
+    n = words.size
     block = max(1, _DRAW_CAP // max(1, n))
-    mask = np.zeros(n, dtype=np.uint32)
     flips = 0
-    for bits, limit in _bit_plan(cfg):
+    for bits, limit in cfg.bit_plan:
         for lo in range(0, len(bits), block):
             run = bits[lo:lo + block]
-            hits = np.flatnonzero(rng.bit_generator.random_raw(len(run) * n) <= limit)
+            hits = (bitgen.random_raw(len(run) * n) <= limit).nonzero()[0]
             if hits.size:
-                row, col = np.divmod(hits, n)
-                np.bitwise_or.at(mask, col, run[row])
+                row, col = np.divmod(hits, n)  # hit i: bit i // n of element i % n
+                np.bitwise_xor.at(words, col, run[row])
                 flips += hits.size
-    return mask.reshape(shape), flips
+    return flips
 
 
 def inject_tensor(values: np.ndarray, cfg: SegmentErrorConfig,
                   rng: np.random.Generator) -> tuple[np.ndarray, InjectionStats]:
     """Flip bits element-wise; zero out (and count) non-finite results."""
-    out = np.ascontiguousarray(values, dtype=np.float32).copy()
+    out = np.array(values, dtype=np.float32, order="C", ndmin=1)
     if cfg.is_zero:
         return out, InjectionStats(0, 0)
-    mask, flips = _flip_mask(out.shape, cfg, rng)
-    out.view(np.uint32)[...] ^= mask
-    bad = ~np.isfinite(out)
-    sanitized = int(bad.sum())
+    flips = _flip_bits(out.reshape(-1).view(np.uint32), cfg, rng.bit_generator)
+    finite = np.isfinite(out)
+    sanitized = out.size - int(np.count_nonzero(finite))
     if sanitized:
-        out[bad] = 0.0
+        out[~finite] = 0.0
     return out, InjectionStats(flips, sanitized)
 
 
@@ -199,7 +192,7 @@ class TinyNetSpec:
     seed: int = bounded(0, default=0, integer=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(listed("layer_sizes", self.layer_sizes)))
         for i, size in enumerate(self.layer_sizes):
             check_int(f"layer_sizes[{i}]", size)
             check_range(f"layer_sizes[{i}]", size, 1)
@@ -347,13 +340,13 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
     lr = np.float32(spec.learning_rate)
     stores = {_K_ACT: binding.activations, _K_ERR: binding.errors,
               _K_WEIGHT: binding.weights, _K_BIAS: binding.weights}
+    stores = {kind: cfg for kind, cfg in stores.items() if not cfg.is_zero}
 
     def write(kind, layer, tensor):
         nonlocal epoch_sanitized
-        cfg = stores[kind]
-        if cfg.is_zero:
+        if kind not in stores:
             return tensor
-        out, st = inject_tensor(tensor, cfg, stream(kind, epoch, batch, layer))
+        out, st = inject_tensor(tensor, stores[kind], stream(kind, epoch, batch, layer))
         epoch_sanitized += st.sanitized
         return out
 
@@ -363,9 +356,9 @@ def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
 
     for epoch in range(spec.epochs):
         order = derive_stream(spec.seed, _K_SHUFFLE, epoch).permutation(n)
-        if not binding.is_zero:  # the write events' streams of this epoch
+        if not binding.is_zero:  # the streams of this epoch's injected writes
             stream = derive_streams(spec.seed, [
-                (kind, epoch, batch, li) for kind in _WRITE_KINDS
+                (kind, epoch, batch, li) for kind in stores
                 for batch in range(-(-n // spec.batch_size))
                 for li in range(len(params))])
         xs, ys = x_train[order], y_train[order]
@@ -410,7 +403,7 @@ class ExperimentConfig:
     dataset_seed: int = bounded(0, default=7, integer=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "seeds", tuple(listed("seeds", self.seeds)))
         for i, seed in enumerate(self.seeds):
             check_int(f"seeds[{i}]", seed)
             check_range(f"seeds[{i}]", seed, 0)

@@ -62,9 +62,9 @@ same streams for a table of keys, such as every write event of a training
 epoch: Philox takes its key from SeedSequence.generate_state(2, uint64),
 whose hashmix and mix steps run on uint32 words with hash constants that
 depend only on the number of words. The steps are therefore run once on
-columns of the table, each key then gets a SeedSequence stand-in that
-carries its spawn_key and returns the precomputed words, and each stream's
-output is bit-identical to derive_stream's.
+columns of the table. One Philox serves the table: a stream sets its key
+words and a zero counter, and a SeedSequence stand-in carries its spawn_key
+and words; each stream's output is bit-identical to derive_stream's.
 """
 
 from __future__ import annotations
@@ -276,24 +276,24 @@ class _SpawnedKey:
     import would load numpy.random into every command that never draws.
     """
 
-    def __init__(self, spawn_key: tuple[int, ...], words: np.ndarray):
-        self.spawn_key = spawn_key
-        self._words = words
+    spawn_key: tuple[int, ...] = ()
+    words = (0, 0)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if (n_words, np.dtype(dtype)) != (2, np.dtype(np.uint64)):
             raise ValueError("only Philox's two-word key is precomputed")
-        return self._words
+        return np.array(self.words, dtype=np.uint64)
 
 
 def derive_streams(seed: int, keys: list[tuple[int, ...]]):
     """derive_stream(seed, *key) for a table of equal-length keys, lazily.
 
-    Returns stream(*key), which builds the generator of any key of the
-    table. SeedSequence's hash steps run once for the whole table (see the
-    module docstring): on Python ints while they mix only the seed, then
-    on one uint32 column per key word, so each generator costs only its
-    Philox. Every key word must be < 2**32.
+    Returns stream(*key), which re-keys one Philox to any key of the table
+    and returns its generator, that key's stream until the next call.
+    SeedSequence's hash steps run once for the whole table (see the module
+    docstring): on Python ints while they mix only the seed, then on one
+    uint32 column per key word, so a stream costs only its key. Every key
+    word must be < 2**32.
     """
     np.random.bit_generator.ISeedSequence.register(_SpawnedKey)
     seed = operator.index(seed)
@@ -331,10 +331,17 @@ def derive_streams(seed: int, keys: list[tuple[int, ...]]):
     state = np.empty((len(keys), 4), dtype=np.uint32)
     for i in range(4):  # generate_state(2, np.uint64): 4 words, little-endian pairs
         state[:, i] = hashed(pool[i % _SS_POOL], _SS_MULT_B)
-    index = dict(zip(keys, state.astype("<u4").view("<u8").astype(np.uint64)))
+    index = dict(zip(keys, state.astype("<u4").view("<u8").tolist()))
+    seed_seq = _SpawnedKey()
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4}, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def stream(*key: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(_SpawnedKey(key, index[key])))
+        seed_seq.spawn_key = key
+        seed_seq.words = fresh["state"]["key"] = index[key]
+        rng.bit_generator.state = fresh
+        return rng
 
     return stream
 

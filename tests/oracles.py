@@ -15,7 +15,9 @@ from spinpad.dataflow import (ELEMENT_BYTES, Phase, Store, activation_elements,
                               count_phase_accesses, gemm_view, output_elements,
                               weight_elements)
 from spinpad.errors import InvalidParameterError
-from spinpad.errortrain import _activation_pair, _backprop, init_params, inject_tensor
+from spinpad.errortrain import (_K_ACT, _K_BIAS, _K_ERR, _K_SHUFFLE, _K_WEIGHT,
+                                 TrainingResult, _activation_pair, _backprop, _forward,
+                                 init_params, inject_tensor)
 from spinpad.magnetics import _default_tilt, _integrate_batch, _llg_chunk, derive_stream
 
 KB_ERG = 1.380649e-16
@@ -262,6 +264,53 @@ def flip_mask_per_bit(shape, cfg, rng):
         flips += int(hit.sum())
         mask |= hit.astype(np.uint32) << np.uint32(bit)
     return mask, flips
+
+
+def train_per_bit(spec, dataset, binding):
+    """train_with_errors' schedule with every write event injected afresh.
+
+    Each event builds its own stream, derive_stream(seed, kind, epoch,
+    batch, layer), takes its XOR mask from flip_mask_per_bit (one uniform
+    per element and bit), and zeroes and counts what comes out non-finite.
+    """
+    act_fn, act_deriv = _activation_pair(spec.activation)
+    params = init_params(spec)
+    x_train, y_train = dataset.x_train.astype(np.float32), dataset.y_train
+    n, size = len(x_train), spec.batch_size
+    lr = np.float32(spec.learning_rate)
+    stores = {_K_ACT: binding.activations, _K_ERR: binding.errors,
+              _K_WEIGHT: binding.weights, _K_BIAS: binding.weights}
+    losses, accs, sanitized = [], [], []
+    for epoch in range(spec.epochs):
+        order = derive_stream(spec.seed, _K_SHUFFLE, epoch).permutation(n)
+        xs, ys = x_train[order], y_train[order]
+        batch_losses, bad_values = [], 0
+        for batch, lo in enumerate(range(0, n, size)):
+            def write(kind, layer, tensor):
+                nonlocal bad_values
+                cfg = stores[kind]
+                if cfg.is_zero:
+                    return tensor
+                rng = derive_stream(spec.seed, kind, epoch, batch, layer)
+                mask, _ = flip_mask_per_bit(tensor.shape, cfg, rng)
+                out = (tensor.view(np.uint32) ^ mask).view(np.float32)
+                bad = ~np.isfinite(out)
+                bad_values += int(bad.sum())
+                out[bad] = 0.0
+                return out
+
+            loss, grads = _backprop(params, xs[lo:lo + size], ys[lo:lo + size],
+                                    act_fn, act_deriv, write)
+            if grads is None:
+                return TrainingResult(losses, accs, sanitized, True, bad_values)
+            batch_losses.append(loss)
+            for li, ((w, b), (dw, db)) in enumerate(zip(params, grads)):
+                params[li] = (write(_K_WEIGHT, li, w - lr * dw), write(_K_BIAS, li, b - lr * db))
+        losses.append(float(np.mean(batch_losses)))
+        logits = _forward(params, dataset.x_test.astype(np.float32), act_fn)[-1]
+        accs.append(100.0 * float((logits.argmax(axis=1) == dataset.y_test).mean()))
+        sanitized.append(bad_values)
+    return TrainingResult(losses, accs, sanitized, False)
 
 
 def _llg_rhs(mx, my, mz, hx, hy, hz, aj, alpha, pre):

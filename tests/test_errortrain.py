@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from spinpad.errortrain import (
     TrainingResult,
     _activation_pair,
     _backprop,
-    _flip_mask,
+    _flip_bits,
     experiment_from_dict,
     init_params,
     inject_tensor,
@@ -32,7 +33,7 @@ from spinpad.errortrain import (
 )
 from spinpad.magnetics import derive_stream
 
-from oracles import flip_mask_per_bit, gradient_check, inject_word
+from oracles import flip_mask_per_bit, gradient_check, inject_word, train_per_bit
 
 SIGN_MASK = 0x80000000
 EXP_MASK = 0x7F800000
@@ -196,10 +197,10 @@ _SEGMENTS = {
 def test_flip_mask_matches_per_bit_oracle(segments, span, shape):
     # the blocked draw must consume each stream exactly as one draw per bit
     cfg = SegmentErrorConfig(affected_mantissa_bits=span, **_SEGMENTS[segments])
-    mask, flips = _flip_mask(shape, cfg, derive_stream(42, span))
+    words = np.zeros(math.prod(shape), dtype=np.uint32)
+    flips = _flip_bits(words, cfg, derive_stream(42, span).bit_generator)
     want_mask, want_flips = flip_mask_per_bit(shape, cfg, derive_stream(42, span))
-    assert mask.dtype == np.uint32 and mask.shape == shape
-    assert np.array_equal(mask, want_mask)
+    assert np.array_equal(words.reshape(shape), want_mask)
     assert flips == want_flips
 
 
@@ -449,6 +450,24 @@ def test_diverged_run_counts_every_sanitized_value(monkeypatch):
     assert result.total_sanitized == sum(counted)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # flipped exponents
+@pytest.mark.parametrize("seed", [3, 4])  # 3 epochs with sanitized values; diverges
+def test_mixed_binding_matches_per_bit_reference_trainer(seed):
+    """One setting per store, every segment and span kind among them: the
+    trainer's re-keyed streams and blocked draws give the curve, bit for
+    bit, of a trainer that builds each event's stream afresh and draws one
+    bit at a time."""
+    binding = BufferErrorBinding(
+        activations=SegmentErrorConfig(sign_wer=1e-2, mantissa_wer=5e-2,
+                                       affected_mantissa_bits=7),
+        weights=SegmentErrorConfig(exponent_wer=1e-3),
+        errors=SegmentErrorConfig(mantissa_wer=1e-2))
+    spec = replace(SPEC, epochs=3, seed=seed)
+    result = train_with_errors(spec, DATASET, binding)
+    assert result == train_per_bit(spec, DATASET, binding)
+    assert result != train_reference(spec, DATASET)
+
+
 def test_monotone_stress_majority():
     # mean accuracy trends down over the mantissa stress sweep; per adjacent
     # step a majority of seeds must be non-increasing (single runs are noisy)
@@ -538,3 +557,11 @@ def test_load_experiment_errors(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ConfigError):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("key,value", [("seeds", 5), ("seeds", "12"),
+                                       ("layer_sizes", "232"), ("layer_sizes", 232)])
+def test_list_keys_refuse_other_values(key, value):
+    # tuple() would split a string into characters and fail on an int
+    with pytest.raises(ConfigError, match=f"experiment: {key} must be a list, got {value!r}"):
+        experiment_from_dict({key: value})

@@ -515,6 +515,16 @@ def test_derive_streams_table_matches_seed_sequence(seed):
         derive_streams(-1 - seed, keys)
 
 
+def test_derive_streams_restarts_each_stream():
+    # re-keying drops what the last stream left behind: Philox's buffered
+    # words and the half word kept for 32-bit draws
+    stream = derive_streams(7, [(1, 2), (3, 4)])
+    for key in [(1, 2), (3, 4), (1, 2)]:
+        got = stream(*key).integers(2**32, size=3, dtype=np.uint32)
+        want = derive_stream(7, *key).integers(2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(got, want)
+
+
 def _chunk_args(aj, mz=None, steps=300):
     """Arguments of a 3-point, 4-rows-per-point _llg_chunk call at 300 K.
 
