@@ -7,16 +7,19 @@ Run it from the root of a checkout: that checkout is the change side. The
 parent side is a `git archive` of --base unpacked in a temporary directory,
 removed on exit. For each workload in turn, pair i runs `python3
 bench/run.py --trace 0` on both sides with seed --seed + i; even pairs run
-the parent first, odd pairs the change. Before every run the side's
-src/spinpad/__pycache__ is deleted, so no run imports bytecode compiled
-from other sources. The script then prints one block per workload: for
-each end-to-end metric of BENCHMARK.json, both medians, the parent's
-interquartile range and the pairs the change won, then the failed calls of
-each side. It writes nothing under bench/; bench/run.py writes .bench_work/.
+the parent first, odd pairs the change. Every run has
+PYTHONDONTWRITEBYTECODE=1 set, and before it the side's
+src/spinpad/__pycache__, bench/__pycache__ and .bench_work are deleted, so
+neither side imports bytecode or reads a file that another run left. The
+script then prints one block per workload: for each end-to-end metric of
+BENCHMARK.json, both medians, the parent's interquartile range and the
+pairs the change won, then the failed calls of each side. It changes no
+tracked file under bench/; bench/run.py writes .bench_work/.
 """
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -27,10 +30,12 @@ from pathlib import Path
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py result line, run from the root of `side`."""
-    shutil.rmtree(side / "src" / "spinpad" / "__pycache__", ignore_errors=True)
+    for stale in ("src/spinpad/__pycache__", "bench/__pycache__", ".bench_work"):
+        shutil.rmtree(side / stale, ignore_errors=True)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=side, capture_output=True, text=True)
+                          cwd=side, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise SystemExit(f"{side}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -65,7 +65,7 @@ _ANCHOR_CAPACITIES_KB = (32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0)
 
 # --------------------------------------------------------------- file I/O
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("# manifest: manifest.json\n")
         w = csv.writer(fh, lineterminator="\n")
@@ -73,10 +73,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _json_text(value) -> str:
+def _json_text(value, indent: str = "\n", keys: dict | None = None) -> str:
     """Exactly json.dumps(value, indent=2, sort_keys=True), without the stdlib's
-    pure-Python encoder that any indent runs."""
-    keys = {}  # each key's encoding and ": ", made once per document
+    pure-Python encoder that any indent runs; `indent` is the newline and
+    indent of the line `value` starts on, and `keys` caches each key's encoding
+    and ": " across the calls that write one document."""
+    keys = {} if keys is None else keys
 
     def text(value, indent: str) -> str:
         kind = type(value)
@@ -92,13 +94,13 @@ def _json_text(value) -> str:
             return "[" + inner + ("," + inner).join(
                 [text(v, inner) for v in value]) + indent + "]"
         return json.dumps(value)  # str, bool, None, inf, nan, subclasses, {} and []
-    return text(value, "\n")
+    return text(value, indent)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n". A
-    system-compare sweep's breakdown.json holds 64 floats per point, and their
-    reprs are about half the time of writing it."""
+    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    doc being payload with its "manifest" key. system-compare writes its
+    breakdown.json point by point through _json_text instead, to the same bytes."""
     path.write_text(_json_text({"manifest": "manifest.json", **payload}) + "\n")
 
 
@@ -171,9 +173,16 @@ def _workload_from_config(items, where: str) -> list[LayerSpec]:
     return [layer_from_dict(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
+def _nonempty(name: str, values):
+    """A list-valued key's value, refused unless it is a list with an item."""
+    if not listed(name, values):
+        raise ConfigError(f"{name}: empty value list")
+    return values
+
+
 def _floats(name: str, values, lo: float = FINITE) -> tuple[float, ...]:
     """A config's list of numbers as floats, each checked to lie in [lo, inf)."""
-    for value in listed(name, values):
+    for value in _nonempty(name, values):
         check_range(name, value, lo)
     return tuple(map(float, values))
 
@@ -273,7 +282,7 @@ class _ArraySweep:
 
     def __post_init__(self) -> None:
         self.capacities_kb = _floats("capacities_kb", self.capacities_kb)
-        for spec in listed("technologies", self.technologies):
+        for spec in _nonempty("technologies", self.technologies):
             _tech_from_spec(spec, "technologies")
 
 
@@ -357,48 +366,63 @@ _COMPARE_HEADER = ["index", "mode", "sweep_value", "status", "detail",
 
 
 def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
+    """Writes each point's compare.csv row and breakdown.json object as soon as
+    it has them, under temporary names that replace the old files once the
+    sweep ends, so the sweep holds no point and a failed one changes no file."""
     workload = _workload_from_config(cfg.workload, "workload")
     table = _table(cfg.calibration_csv)
     tech_a = _tech_from_spec(cfg.tech_a, "tech_a")
     tech_b = _tech_from_spec(cfg.tech_b, "tech_b")
     compare = (compare_iso_capacity if cfg.mode == "iso-capacity"
                else compare_iso_area)
-    rows, points, failures = [], [], 0
     memo: dict = {}  # the last trace per side, reused inside its decision ranges
-    for i, value in enumerate(cfg.sweep):
-        try:
-            pt = compare(workload, cfg.accelerator, value, tech_a, tech_b,
-                         table=table, sys=cfg.system, memo=memo)
-        except SpinpadError as exc:
-            failures += 1
-            rows.append([i, cfg.mode, _fmt(value), "error", str(exc),
-                         "", "", "", "", "", "", ""])
-            points.append({"index": i, "sweep_value": value,
-                           "status": "error", "detail": str(exc)})
-            continue
-        rows.append([
-            i, cfg.mode, _fmt(value), "ok", "",
-            _fmt(pt.capacity_a_kb), _fmt(pt.capacity_b_kb),
-            _fmt(pt.report_a.total_nj), _fmt(pt.report_b.total_nj),
-            _fmt(pt.improvement), pt.dram_elements_a, pt.dram_elements_b,
-        ])
-        points.append({
-            "index": i,
-            "sweep_value": value,
-            "status": "ok",
-            "improvement": pt.improvement,
-            "capacity_a_kb": pt.capacity_a_kb,
-            "capacity_b_kb": pt.capacity_b_kb,
-            "dram_elements_a": pt.dram_elements_a,
-            "dram_elements_b": pt.dram_elements_b,
-            "tech_a": pt.report_a.as_dict(),
-            "tech_b": pt.report_b.as_dict(),
-        })
-    _write_csv(out / "compare.csv", _COMPARE_HEADER, rows)
-    _write_json(out / "breakdown.json", {"mode": cfg.mode, "points": points})
+    keys: dict = {}  # each key's encoding, shared by every point of the document
+    # json.dumps's bytes around the points, which sort last and sit at "\n    "
+    head, tail = _json_text({"manifest": "manifest.json", "mode": cfg.mode, "points": [0]},
+                            keys=keys).split("\n    0")
+    failures = 0
+
+    def rows(fh):  # writes each point's JSON object and yields its CSV row
+        nonlocal failures
+        for i, value in enumerate(cfg.sweep):
+            try:
+                pt = compare(workload, cfg.accelerator, value, tech_a, tech_b,
+                             table=table, sys=cfg.system, memo=memo)
+            except SpinpadError as exc:
+                failures += 1
+                point = {"index": i, "sweep_value": value,
+                         "status": "error", "detail": str(exc)}
+                row = [i, cfg.mode, _fmt(value), "error", str(exc), "", "", "", "", "", "", ""]
+            else:
+                point = {"index": i, "sweep_value": value, "status": "ok",
+                         "improvement": pt.improvement,
+                         "capacity_a_kb": pt.capacity_a_kb, "capacity_b_kb": pt.capacity_b_kb,
+                         "dram_elements_a": pt.dram_elements_a,
+                         "dram_elements_b": pt.dram_elements_b,
+                         "tech_a": pt.report_a.as_dict(), "tech_b": pt.report_b.as_dict()}
+                row = [
+                    i, cfg.mode, _fmt(value), "ok", "",
+                    _fmt(pt.capacity_a_kb), _fmt(pt.capacity_b_kb),
+                    _fmt(pt.report_a.total_nj), _fmt(pt.report_b.total_nj),
+                    _fmt(pt.improvement), pt.dram_elements_a, pt.dram_elements_b,
+                ]
+            fh.write(("," if i else head) + "\n    " + _json_text(point, "\n    ", keys))
+            yield row
+        fh.write(tail + "\n")
+
+    names = ["compare.csv", "breakdown.json"]
+    temps = [out / f"{name}.tmp" for name in names]
+    try:
+        with open(temps[1], "w", buffering=1 << 16) as fh:  # 8 KB writes cost ~1.5%
+            _write_csv(temps[0], _COMPARE_HEADER, rows(fh))
+        for temp, name in zip(temps, names):
+            temp.replace(out / name)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     if failures == len(cfg.sweep):
         raise RuntimeError("every sweep point failed; see compare.csv")
-    return ["compare.csv", "breakdown.json"]
+    return names
 
 
 # ---------------------------------------------------------- hetero-write

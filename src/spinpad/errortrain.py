@@ -316,6 +316,7 @@ def _accuracy(params, x, y, act_fn) -> float:
     return 100.0 * float((logits.argmax(axis=1) == y).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sanitizing and divergence absorb these
 def train_with_errors(spec: TinyNetSpec, dataset: Dataset,
                       binding: BufferErrorBinding) -> TrainingResult:
     """Minibatch SGD with write-error injection at every scratchpad write.

@@ -266,6 +266,7 @@ def flip_mask_per_bit(shape, cfg, rng):
     return mask, flips
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as train_with_errors
 def train_per_bit(spec, dataset, binding):
     """train_with_errors' schedule with every write event injected afresh.
 

@@ -2,7 +2,11 @@ import csv
 import filecmp
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpad import energy
+import spinpad
+from spinpad import cli, energy
 from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
                                 metrics_at_capacity)
 from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
@@ -591,6 +596,84 @@ def test_system_compare_rerun_byte_identical(tmp_path):
     assert_rerun_identical(out, tmp_path)
 
 
+@pytest.mark.parametrize("command, doc, flags, key", [
+    ("system-compare", {"sweep": []}, (), "sweep"),
+    ("wer-sweep", {"amplitudes_ua": []}, (), "amplitudes_ua"),
+    ("wer-sweep", {"durations_ns": []}, (), "durations_ns"),
+    ("array-sweep", {"capacities_kb": []}, (), "capacities_kb"),
+    ("array-sweep", {"technologies": []}, (), "technologies"),
+    ("array-sweep", {}, ("--technologies", ","), "technologies"),
+], ids=["sweep", "amplitudes_ua", "durations_ns", "capacities_kb", "technologies",
+        "technologies-flag"])
+def test_empty_list_key_exits_one_and_makes_no_output_directory(tmp_path, capsys, command,
+                                                                doc, flags, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: empty value list" in err, err
+    assert not out.exists()
+
+
+def _log_sweep_config(path, n):
+    """A toy-VGG iso-capacity sweep of n log-spaced points over 32 KB-512 MB."""
+    path.write_text(json.dumps({"mode": "iso-capacity", "sweep": [
+        32.0 * 2.0 ** (14 * i / (n - 1)) for i in range(n)]}))
+    return ["--config", str(path), "--workload", str(CONFIGS / "workload_vgg_toy.txt")]
+
+
+def test_system_compare_memory_does_not_grow_with_points(tmp_path):
+    """Each point's row and object are written as they come: no point is kept."""
+    peaks = {}
+    for n in (8, 100, 400):  # the 8-point run fills the caches of the first call
+        argv = _log_sweep_config(tmp_path / f"{n}.json", n)
+        tracemalloc.start()
+        try:
+            assert run_cli("system-compare", *argv, "--out", str(tmp_path / str(n))) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 1.5 * peaks[100], peaks
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_system_compare_failure_mid_sweep_leaves_old_files(tmp_path, monkeypatch, k):
+    """A sweep that raises at point k, rerun into its own directory, exits 2
+    and leaves the earlier data files and no temporary file."""
+    out = tmp_path / "o"
+    assert run_cli("system-compare", "--sweep", "32.0,183.0,512.0,40592.0",
+                   "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real, calls = cli.compare_iso_capacity, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > k:
+            raise RuntimeError("stop mid-sweep")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_iso_capacity", failing)
+    assert run_cli("rerun", str(out / "manifest.json")) == 2
+    assert len(calls) == k + 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_system_compare_breakdown_with_error_points_matches_stdlib(tmp_path):
+    """Error points first, between ok ones and last: the streamed separators,
+    head and tail give json.dumps's bytes."""
+    out = tmp_path / "o"
+    # below 0.1145 mm2 SRAM has no anchor
+    assert run_cli("system-compare", "--mode", "iso-area", "--sweep", "0.05,0.5,0.06,0.7,0.07",
+                   "--out", str(out)) == 0
+    text = (out / "breakdown.json").read_text()
+    doc = json.loads(text)
+    assert [p["status"] for p in doc["points"]] == ["error", "ok", "error", "ok", "error"]
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert sorted(p.name for p in out.iterdir()) == ["breakdown.json", "compare.csv",
+                                                      "manifest.json"]
+
+
 # ---------------------------------------------------------- hetero-write
 
 
@@ -720,6 +803,20 @@ def test_error_train_divergence_still_exits_zero(tmp_path):
     (entry,) = doc["seeds"].values()
     assert entry["diverged"] is True
     assert entry["epochs_completed"] < 4
+
+
+def test_error_train_overflow_prints_nothing_to_stderr(tmp_path):
+    """Flipped exponents overflow an activation; the trainer sanitizes or
+    diverges, and numpy's overflow warning does not reach the terminal."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"binding": {"weights": {"exponent_wer": 1e-3}}}))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "spinpad.cli", "error-train",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(spinpad.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_error_train_invalid_binding_exits_one(tmp_path):

@@ -450,7 +450,7 @@ def test_diverged_run_counts_every_sanitized_value(monkeypatch):
     assert result.total_sanitized == sum(counted)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # flipped exponents
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # both trainers absorb the overflow
 @pytest.mark.parametrize("seed", [3, 4])  # 3 epochs with sanitized values; diverges
 def test_mixed_binding_matches_per_bit_reference_trainer(seed):
     """One setting per store, every segment and span kind among them: the
