@@ -13,8 +13,10 @@ src/spinpad/__pycache__, bench/__pycache__ and .bench_work are deleted, so
 neither side imports bytecode or reads a file that another run left. The
 script then prints one block per workload: for each end-to-end metric of
 BENCHMARK.json, both medians, the parent's interquartile range and the
-pairs the change won, then the failed calls of each side. It changes no
-tracked file under bench/; bench/run.py writes .bench_work/.
+pairs the change won, then the failed calls of each side, then whether the
+two sides printed the same data-file digests (bench/run.py's `sha256` line)
+on every pair. It changes no tracked file under bench/; bench/run.py writes
+.bench_work/.
 """
 
 import argparse
@@ -29,7 +31,8 @@ from pathlib import Path
 
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py result line, run from the root of `side`."""
+    """One bench/run.py result line, run from the root of `side`, with the
+    digests of its sha256 line under "sha256" (None when it printed none)."""
     for stale in ("src/spinpad/__pycache__", "bench/__pycache__", ".bench_work"):
         shutil.rmtree(side / stale, ignore_errors=True)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
@@ -38,7 +41,10 @@ def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise SystemExit(f"{side}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    digests = [json.loads(line[len("sha256 "):]) for line in lines
+               if line.startswith("sha256 ")]
+    return {**json.loads(lines[-1]), "sha256": digests[-1] if digests else None}
 
 
 def summary(spec: dict, parent: list[dict], change: list[dict]) -> None:
@@ -57,6 +63,10 @@ def summary(spec: dict, parent: list[dict], change: list[dict]) -> None:
         print(f"{name}: {sum(r['failed'] for r in runs)} of "
               f"{sum(r['attempted'] for r in runs)} calls failed, per pair "
               f"{[r['failed'] for r in runs]}")
+    differ = [i + 1 for i, (x, y) in enumerate(zip(parent, change))
+              if x["sha256"] is None or x["sha256"] != y["sha256"]]
+    print(f"sha256: parent and change equal on {len(parent) - len(differ)} of "
+          f"{len(parent)} pairs" + (f"; not on pairs {differ}" if differ else ""))
 
 
 def main() -> int:

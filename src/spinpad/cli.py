@@ -15,12 +15,17 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
+import itertools
 import json
 import math
+import re
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -40,6 +45,8 @@ from .dataflow import (
 )
 from .energy import (
     MANTISSA_BITS,
+    ComparisonPoint,
+    EnergyReport,
     SegmentMap,
     SystemEnergyConfig,
     compare_iso_area,
@@ -100,7 +107,9 @@ def _json_text(value, indent: str = "\n", keys: dict | None = None) -> str:
 def _write_json(path: Path, payload: dict) -> None:
     """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n",
     doc being payload with its "manifest" key. system-compare writes its
-    breakdown.json point by point through _json_text instead, to the same bytes."""
+    breakdown.json point by point instead, to the same bytes: an ok point fills a
+    format compiled from _json_text's bytes for the sweep's first ok point
+    (_point_writer), and any other point goes through _json_text."""
     path.write_text(_json_text({"manifest": "manifest.json", **payload}) + "\n")
 
 
@@ -244,17 +253,17 @@ def _resolve_wer_sweep(args) -> _WerSweep:
 
 
 def _exec_wer_sweep(cfg: _WerSweep, out: Path) -> list[str]:
+    """Fits every duration before it writes a file: a fit that fails is a runtime
+    failure that writes no data file, so a rerun leaves the old files as they were."""
     curve = run_wer_sweep(cfg.device, cfg.amplitudes_ua, cfg.durations_ns,
                           cfg.simulation, workers=cfg.workers)
-    rows = [[_fmt(p.amplitude_ua), _fmt(p.duration_ns), p.trials,
-             _fmt(p.p_switch), _fmt(p.ln_wer)] for p in curve.points]
-    _write_csv(out / "sweep.csv",
-               ["amplitude_uA", "duration_ns", "trials", "p_switch", "ln_wer"],
-               rows)
     fits = []
     for d in cfg.durations_ns:
-        fit = fit_ln_wer(curve, d)
-        ladder = amplitude_ladder(fit)
+        try:
+            fit = fit_ln_wer(curve, d)
+            ladder = amplitude_ladder(fit)
+        except SpinpadError as exc:
+            raise RuntimeError(f"no WER fit at {d} ns: {exc}") from None
         fits.append({
             "duration_ns": d,
             "onset_amplitude_ua": curve.onset_amplitude(d),
@@ -267,6 +276,11 @@ def _exec_wer_sweep(cfg: _WerSweep, out: Path) -> list[str]:
                 for t, a in sorted(ladder.items(), reverse=True)
             ],
         })
+    rows = [[_fmt(p.amplitude_ua), _fmt(p.duration_ns), p.trials,
+             _fmt(p.p_switch), _fmt(p.ln_wer)] for p in curve.points]
+    _write_csv(out / "sweep.csv",
+               ["amplitude_uA", "duration_ns", "trials", "p_switch", "ln_wer"],
+               rows)
     _write_json(out / "ladder.json", {"durations": fits})
     return ["sweep.csv", "ladder.json"]
 
@@ -363,6 +377,96 @@ def _resolve_system_compare(args) -> _SystemCompare:
 _COMPARE_HEADER = ["index", "mode", "sweep_value", "status", "detail",
                    "capacity_a_kb", "capacity_b_kb", "total_a_nj", "total_b_nj",
                    "improvement", "dram_elements_a", "dram_elements_b"]
+# where each number of an ok point's compare.csv row sits in its object
+_CSV_NUMBERS = (("sweep_value",), ("capacity_a_kb",), ("capacity_b_kb",), ("tech_a", "total_nj"),
+                ("tech_b", "total_nj"), ("improvement",), ("dram_elements_a",),
+                ("dram_elements_b",))
+
+
+def _ok_point(i: int, value: float, pt: ComparisonPoint, report=EnergyReport.as_dict) -> dict:
+    """An ok sweep point's breakdown.json object, each report written as report(it)."""
+    return {"index": i, "sweep_value": value, "status": "ok", "improvement": pt.improvement,
+            "capacity_a_kb": pt.capacity_a_kb, "capacity_b_kb": pt.capacity_b_kb,
+            "dram_elements_a": pt.dram_elements_a, "dram_elements_b": pt.dram_elements_b,
+            "tech_a": report(pt.report_a), "tech_b": report(pt.report_b)}
+
+
+def _getter(make, keys: list):
+    """make(*keys), an attrgetter or itemgetter, returning a tuple for any number of keys."""
+    if len(keys) == 1:
+        one = make(*keys)
+        return lambda s: (one(s),)
+    return make(*keys) if keys else lambda s: ()
+
+
+def _leaf_reader(doc: dict, source, marks: Iterator[int]):
+    """How to read doc's number leaves off `source`, what doc was made from, without
+    making doc again: a dict source holds doc's values in doc's order, and any other
+    source has the attribute each key of doc names (as_dict's keys are the fields and
+    properties they read). Returns (read, marked): read(s) lists the leaves of any
+    source s shaped like `source`, a node's own leaves before those of its dicts, and
+    marked is doc with each leaf replaced by the marker "\\0<place in that list>"."""
+    get = (lambda s: tuple(s.values())) if type(source) is dict else _getter(attrgetter, list(doc))
+    marked, own, nested = {}, [], []
+    for n, ((key, value), kid) in enumerate(zip(doc.items(), get(source))):
+        if type(value) is dict:
+            nested.append((n, key, value, kid))
+        elif type(value) is str:  # text that every source of this shape shares
+            marked[key] = value
+        else:
+            own.append(n)
+            marked[key] = f"\0{next(marks)}"
+    pick, subs = _getter(itemgetter, own), []
+    for n, key, value, kid in nested:
+        sub, marked[key] = _leaf_reader(value, kid, marks)
+        subs.append((n, sub))
+
+    def read(s) -> list:
+        kids = get(s)
+        leaves = [*pick(kids)]
+        for n, sub in subs:
+            leaves += sub(kids[n])
+        return leaves
+    return read, marked
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+
+
+def _point_writer(mode: str, keys: dict):
+    """write(i, value, pt) -> (the ok point's breakdown.json object at the point indent,
+    exactly _json_text(_ok_point(i, value, pt), "\\n    ", keys), and its compare.csv row).
+
+    The first call compiles one % format from that point's own _json_text bytes, each
+    number replaced by a marker, and a reader of the numbers off the ComparisonPoint in
+    the format's order. A point whose numbers are all finite ints and floats fills the
+    format with their reprs, which its row shares; any other point (a bool, an
+    np.float64, inf or nan) goes through _json_text."""
+    compiled = None
+
+    def row(i: int, numbers: tuple) -> list:
+        return [i, mode, numbers[0], "ok", "", *numbers[1:]]
+
+    def write(i: int, value: float, pt: ComparisonPoint) -> tuple[str, list]:
+        nonlocal compiled
+        source = _ok_point(i, value, pt, report=lambda r: r)
+        if compiled is None:
+            read, marked = _leaf_reader(_ok_point(i, value, pt), source, itertools.count())
+            parts = re.split(r'"\\u0000(\d+)"', _json_text(marked, "\n    ", keys))
+            at = [int(functools.reduce(dict.get, path, marked)[1:]) for path in _CSV_NUMBERS]
+            compiled = (read, "%s".join(p.replace("%", "%%") for p in parts[::2]),
+                        _getter(itemgetter, [int(n) for n in parts[1::2]]),
+                        _getter(itemgetter, at))
+        read, fmt, in_text_order, csv_numbers = compiled
+        leaves = read(source)
+        if _PLAIN_NUMBERS.issuperset(map(type, leaves)):
+            reprs = list(map(repr, leaves))
+            if _NON_FINITE.isdisjoint(reprs):
+                return fmt % in_text_order(reprs), row(i, csv_numbers(reprs))
+        return (_json_text(_ok_point(i, value, pt), "\n    ", keys),
+                row(i, csv_numbers(list(map(_fmt, leaves)))))
+    return write
 
 
 def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
@@ -380,6 +484,7 @@ def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
     # json.dumps's bytes around the points, which sort last and sit at "\n    "
     head, tail = _json_text({"manifest": "manifest.json", "mode": cfg.mode, "points": [0]},
                             keys=keys).split("\n    0")
+    write_ok = _point_writer(cfg.mode, keys)  # its format lives as long as this sweep
     failures = 0
 
     def rows(fh):  # writes each point's JSON object and yields its CSV row
@@ -390,23 +495,12 @@ def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
                              table=table, sys=cfg.system, memo=memo)
             except SpinpadError as exc:
                 failures += 1
-                point = {"index": i, "sweep_value": value,
-                         "status": "error", "detail": str(exc)}
+                text = _json_text({"index": i, "sweep_value": value, "status": "error",
+                                   "detail": str(exc)}, "\n    ", keys)
                 row = [i, cfg.mode, _fmt(value), "error", str(exc), "", "", "", "", "", "", ""]
             else:
-                point = {"index": i, "sweep_value": value, "status": "ok",
-                         "improvement": pt.improvement,
-                         "capacity_a_kb": pt.capacity_a_kb, "capacity_b_kb": pt.capacity_b_kb,
-                         "dram_elements_a": pt.dram_elements_a,
-                         "dram_elements_b": pt.dram_elements_b,
-                         "tech_a": pt.report_a.as_dict(), "tech_b": pt.report_b.as_dict()}
-                row = [
-                    i, cfg.mode, _fmt(value), "ok", "",
-                    _fmt(pt.capacity_a_kb), _fmt(pt.capacity_b_kb),
-                    _fmt(pt.report_a.total_nj), _fmt(pt.report_b.total_nj),
-                    _fmt(pt.improvement), pt.dram_elements_a, pt.dram_elements_b,
-                ]
-            fh.write(("," if i else head) + "\n    " + _json_text(point, "\n    ", keys))
+                text, row = write_ok(i, value, pt)
+            fh.write(("," if i else head) + "\n    " + text)
             yield row
         fh.write(tail + "\n")
 

@@ -73,6 +73,8 @@ class PhaseEnergy:
         return self.dram_nj + self.onchip_nj + self.leakage_nj + self.compute_nj
 
     def as_dict(self) -> dict:
+        """The report keys, each the name of the field or property it reads; the
+        CLI's system-compare writer reads a report's numbers by these names."""
         return {"dram_nj": self.dram_nj, "onchip_nj": self.onchip_nj,
                 "leakage_nj": self.leakage_nj, "compute_nj": self.compute_nj,
                 "total_nj": self.total_nj, "time_ns": self.time_ns}

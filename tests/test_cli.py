@@ -1,19 +1,22 @@
 import csv
 import filecmp
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinpad
@@ -21,9 +24,9 @@ from spinpad import cli, energy
 from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
                                 metrics_at_capacity)
 from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
-from spinpad.dataflow import AcceleratorConfig
-from spinpad.energy import SystemEnergyConfig
-from spinpad.errors import ConfigError
+from spinpad.dataflow import AcceleratorConfig, Phase
+from spinpad.energy import ComparisonPoint, EnergyReport, PhaseEnergy, SystemEnergyConfig
+from spinpad.errors import ConfigError, InvalidFitError
 from spinpad.errortrain import (BufferErrorBinding, ExperimentConfig, SegmentErrorConfig,
                                 TinyNetSpec, make_moons_dataset, train_reference)
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
@@ -353,9 +356,30 @@ def test_wer_sweep_non_integer_field_exits_one(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_wer_sweep_without_onset_exits_one(tmp_path):
-    assert run_cli("wer-sweep", "--amplitudes", "1.0,2.0,3.0",
-                   "--trials", "20", "--out", str(tmp_path / "o")) == 1
+@pytest.mark.parametrize("argv", [
+    ("--amplitudes", "1.0,2.0,3.0", "--trials", "20"),  # no point reaches onset
+    ("--amplitudes", "10.0,20.0", "--trials", "10"),
+    # the first duration fits and the second does not: neither is written
+    ("--durations", "5.0,0.2", "--amplitudes", "110,120,130,140,150", "--trials", "20"),
+], ids=["no-onset", "two-points", "second-duration"])
+def test_wer_sweep_failed_fit_exits_two_and_writes_no_data_file(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli("wer-sweep", *argv, "--out", str(out)) == 2
+    assert "runtime failure: no WER fit at" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_wer_sweep_failed_fit_on_rerun_leaves_old_files(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    assert run_cli(*_SMALL_WER, "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing(curve, duration_ns):
+        raise InvalidFitError("ln(WER) slope must be negative")
+
+    monkeypatch.setattr(cli, "fit_ln_wer", failing)
+    assert run_cli("rerun", str(out / "manifest.json")) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # a 5 ns grid small enough to run twice, with five post-onset points
@@ -672,6 +696,87 @@ def test_system_compare_breakdown_with_error_points_matches_stdlib(tmp_path):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert sorted(p.name for p in out.iterdir()) == ["breakdown.json", "compare.csv",
                                                       "manifest.json"]
+
+
+def test_system_compare_fills_each_ok_point_from_one_format(tmp_path):
+    """_json_text writes the document's head, the format and the manifest, and no
+    ok point: every one of them fills the format compiled from the first."""
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
+        assert run_cli("system-compare", "--sweep", "32.0,183.0,512.0,40592.0",
+                       "--out", str(out)) == 0
+    assert spy.call_count == 3
+    assert_stdlib_json_format(out)
+
+
+_PLAIN_LEAVES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10 ** 30, 10 ** 30),
+                          st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 10 ** 25]))
+_ODD_LEAVES = st.one_of(st.sampled_from([float("inf"), -float("inf"), float("nan"),
+                                         True, False]),
+                        st.floats().map(np.float64))
+_POINT_LEAVES = 6 + 2 * 5 * (1 + len(Phase))  # derived totals and improvement aside
+
+
+@st.composite
+def _ok_points(draw):
+    """(index, sweep value, ComparisonPoint): plain leaves, up to two of them odd."""
+    leaves = draw(st.lists(_PLAIN_LEAVES, min_size=_POINT_LEAVES, max_size=_POINT_LEAVES))
+    for k, v in draw(st.dictionaries(st.integers(0, _POINT_LEAVES - 1), _ODD_LEAVES,
+                                     max_size=2)).items():
+        leaves[k] = v
+    it = iter(leaves)
+
+    def report():
+        return EnergyReport(*islice(it, 5), {p: PhaseEnergy(*islice(it, 5)) for p in Phase})
+    i, value, cap_a, cap_b, dram_a, dram_b = islice(it, 6)
+    return i, value, ComparisonPoint(cap_a, cap_b, report(), report(), dram_a, dram_b)
+
+
+def _doc_leaves(doc):
+    for v in doc.values():
+        yield from _doc_leaves(v) if isinstance(v, dict) else [v]
+
+
+def _csv_line(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+_FIRST_POINT = ComparisonPoint(32.0, 32.0, *[EnergyReport(
+    1.5, 2.5, 3.5, 4.5, 5.5, {p: PhaseEnergy(0.5, 1, 2.0, 3.0, 4.0) for p in Phase})] * 2, 7, 7)
+
+
+@given(point=_ok_points())
+@settings(max_examples=300)
+@np.errstate(all="ignore")  # np.float64 leaves may overflow in the derived totals
+def test_point_writer_matches_json_text(point):
+    """The point writer's object is _json_text's, from the format when every number
+    is a finite int or float and through _json_text otherwise, and its row is the
+    row each number's _fmt gives."""
+    i, value, pt = point
+    try:
+        doc = cli._ok_point(i, value, pt)
+    except (ZeroDivisionError, OverflowError):  # improvement and totals are derived
+        assume(False)
+    keys = {}
+    expected = _json_text(doc, "\n    ", keys)
+    plain = all(type(v) is int or type(v) is float and math.isfinite(v)
+                for v in _doc_leaves(doc) if type(v) is not str)
+    old_row = [i, "iso-area", cli._fmt(value), "ok", "", cli._fmt(pt.capacity_a_kb),
+               cli._fmt(pt.capacity_b_kb), cli._fmt(pt.report_a.total_nj),
+               cli._fmt(pt.report_b.total_nj), cli._fmt(doc["improvement"]),
+               pt.dram_elements_a, pt.dram_elements_b]
+    # a format compiled from a plain point, then from this one
+    for first in (_FIRST_POINT, pt):
+        write = cli._point_writer("iso-area", keys)
+        write(0, 1.0, first)
+        with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
+            text, row = write(i, value, pt)
+        assert text == expected
+        assert spy.called is not plain
+        assert _csv_line(row) == _csv_line(old_row)
 
 
 # ---------------------------------------------------------- hetero-write
