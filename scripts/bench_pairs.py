@@ -54,7 +54,8 @@ def summary(spec: dict, parent: list[dict], change: list[dict]) -> None:
         a = [r["metrics"][m["name"]]["value"] for r in parent]
         b = [r["metrics"][m["name"]]["value"] for r in change]
         ma, mb = statistics.median(a), statistics.median(b)
-        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
+        q1, _, q3 = (statistics.quantiles(a, n=4, method="inclusive") if len(a) > 1
+                     else (a[0],) * 3)  # the quartiles every BENCH_*.json records
         better = (lambda x, y: y < x) if m["better"] == "lower" else (lambda x, y: y > x)
         wins = sum(better(x, y) for x, y in zip(a, b))
         print(f"{m['name']:12s} {ma:10.4f} {mb:10.4f} {(mb - ma) / ma:+8.2%} "

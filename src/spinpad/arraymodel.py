@@ -208,16 +208,19 @@ class CalibrationTable:
     def from_csv(cls, path: str | Path) -> "CalibrationTable":
         anchors: dict[TechnologyKind, list[ArrayMetrics]] = {}
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            # each row with its line number in the file, "#" lines skipped: the CLI
+            # heads its CSV files with a "# manifest: ..." line
+            rows = ((lineno, row) for lineno, line in enumerate(fh, start=1)
+                    if not line.startswith("#") for row in csv.reader([line]))
             try:
-                header = next(reader)
+                lineno, header = next(rows)
             except StopIteration:
                 raise ConfigError(f"{path}: empty calibration file") from None
             if header != _CSV_HEADER:
                 raise ConfigError(
-                    f"{path}:1: expected header {','.join(_CSV_HEADER)}"
+                    f"{path}:{lineno}: expected header {','.join(_CSV_HEADER)}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in rows:
                 if not row:
                     continue
                 if len(row) != len(_CSV_HEADER):

@@ -16,12 +16,10 @@ import argparse
 import copy
 import csv
 import functools
-import itertools
 import json
 import math
 import re
 import sys
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -377,61 +375,34 @@ def _resolve_system_compare(args) -> _SystemCompare:
 _COMPARE_HEADER = ["index", "mode", "sweep_value", "status", "detail",
                    "capacity_a_kb", "capacity_b_kb", "total_a_nj", "total_b_nj",
                    "improvement", "dram_elements_a", "dram_elements_b"]
+# an ok point's numbers that its ComparisonPoint holds, reports aside
+_POINT_NUMBERS = ("improvement", "capacity_a_kb", "capacity_b_kb", "dram_elements_a",
+                  "dram_elements_b")
+_point_numbers = attrgetter(*_POINT_NUMBERS)
 # where each number of an ok point's compare.csv row sits in its object
 _CSV_NUMBERS = (("sweep_value",), ("capacity_a_kb",), ("capacity_b_kb",), ("tech_a", "total_nj"),
                 ("tech_b", "total_nj"), ("improvement",), ("dram_elements_a",),
                 ("dram_elements_b",))
 
 
-def _ok_point(i: int, value: float, pt: ComparisonPoint, report=EnergyReport.as_dict) -> dict:
-    """An ok sweep point's breakdown.json object, each report written as report(it)."""
-    return {"index": i, "sweep_value": value, "status": "ok", "improvement": pt.improvement,
-            "capacity_a_kb": pt.capacity_a_kb, "capacity_b_kb": pt.capacity_b_kb,
-            "dram_elements_a": pt.dram_elements_a, "dram_elements_b": pt.dram_elements_b,
-            "tech_a": report(pt.report_a), "tech_b": report(pt.report_b)}
-
-
-def _getter(make, keys: list):
-    """make(*keys), an attrgetter or itemgetter, returning a tuple for any number of keys."""
-    if len(keys) == 1:
-        one = make(*keys)
-        return lambda s: (one(s),)
-    return make(*keys) if keys else lambda s: ()
-
-
-def _leaf_reader(doc: dict, source, marks: Iterator[int]):
-    """How to read doc's number leaves off `source`, what doc was made from, without
-    making doc again: a dict source holds doc's values in doc's order, and any other
-    source has the attribute each key of doc names (as_dict's keys are the fields and
-    properties they read). Returns (read, marked): read(s) lists the leaves of any
-    source s shaped like `source`, a node's own leaves before those of its dicts, and
-    marked is doc with each leaf replaced by the marker "\\0<place in that list>"."""
-    get = (lambda s: tuple(s.values())) if type(source) is dict else _getter(attrgetter, list(doc))
-    marked, own, nested = {}, [], []
-    for n, ((key, value), kid) in enumerate(zip(doc.items(), get(source))):
-        if type(value) is dict:
-            nested.append((n, key, value, kid))
-        elif type(value) is str:  # text that every source of this shape shares
-            marked[key] = value
-        else:
-            own.append(n)
-            marked[key] = f"\0{next(marks)}"
-    pick, subs = _getter(itemgetter, own), []
-    for n, key, value, kid in nested:
-        sub, marked[key] = _leaf_reader(value, kid, marks)
-        subs.append((n, sub))
-
-    def read(s) -> list:
-        kids = get(s)
-        leaves = [*pick(kids)]
-        for n, sub in subs:
-            leaves += sub(kids[n])
-        return leaves
-    return read, marked
+def _ok_point(i: int, value: float, pt: ComparisonPoint) -> dict:
+    """An ok sweep point's breakdown.json object."""
+    return {"index": i, "sweep_value": value, "status": "ok",
+            **dict(zip(_POINT_NUMBERS, _point_numbers(pt))),
+            "tech_a": pt.report_a.as_dict(), "tech_b": pt.report_b.as_dict()}
 
 
 _PLAIN_NUMBERS = frozenset((int, float))
 _NON_FINITE = frozenset(("inf", "-inf", "nan"))
+
+
+def _plain_reprs(numbers) -> list | None:
+    """Each number's repr when every one is a finite int or float, else None."""
+    if _PLAIN_NUMBERS.issuperset(map(type, numbers)):
+        reprs = list(map(repr, numbers))
+        if _NON_FINITE.isdisjoint(reprs):
+            return reprs
+    return None
 
 
 def _point_writer(mode: str, keys: dict):
@@ -439,33 +410,54 @@ def _point_writer(mode: str, keys: dict):
     exactly _json_text(_ok_point(i, value, pt), "\\n    ", keys), and its compare.csv row).
 
     The first call compiles one % format from that point's own _json_text bytes, each
-    number replaced by a marker, and a reader of the numbers off the ComparisonPoint in
-    the format's order. A point whose numbers are all finite ints and floats fills the
-    format with their reprs, which its row shares; any other point (a bool, an
-    np.float64, inf or nan) goes through _json_text."""
+    number replaced by a marker in the writer's order: the point's own numbers, each
+    report's own numbers, then each report's fixed ones (EnergyReport.numbers). A point
+    whose numbers are all finite ints and floats fills the format with their reprs,
+    which its row shares; any other point (a bool, an np.float64, inf or nan) goes
+    through _json_text. A report's fixed tuple is shared by every report priced from
+    one record, so the reprs of the last one of each side, and their check, are kept
+    and reused while a report holds that very tuple: keyed by identity, never by
+    value, since -0.0 == 0.0."""
     compiled = None
+    held = [(None, None), (None, None)]  # per side: (a fixed tuple, its _plain_reprs)
 
-    def row(i: int, numbers: tuple) -> list:
-        return [i, mode, numbers[0], "ok", "", *numbers[1:]]
+    def fixed_reprs(side: int, fixed: tuple) -> list | None:
+        for tup, reprs in held:
+            if tup is fixed:
+                return reprs
+        held[side] = fixed, _plain_reprs(fixed)
+        return held[side][1]
+
+    def compile_format(i: int, value: float, pt: ComparisonPoint) -> tuple:
+        fixed_keys, own_keys = EnergyReport.NUMBER_KEYS
+        paths = [(key,) for key in ("index", "sweep_value", *_POINT_NUMBERS)]
+        paths += [(tech, *path) for group in (own_keys, fixed_keys)
+                  for tech in ("tech_a", "tech_b") for path in group]
+        doc = _ok_point(i, value, pt)
+        for n, path in enumerate(paths):
+            functools.reduce(dict.get, path[:-1], doc)[path[-1]] = f"\0{n}"
+        parts = re.split(r'"\\u0000(\d+)"', _json_text(doc, "\n    ", keys))
+        return ("%s".join(p.replace("%", "%%") for p in parts[::2]),
+                itemgetter(*map(int, parts[1::2])),
+                itemgetter(*[paths.index(path) for path in _CSV_NUMBERS]))
 
     def write(i: int, value: float, pt: ComparisonPoint) -> tuple[str, list]:
         nonlocal compiled
-        source = _ok_point(i, value, pt, report=lambda r: r)
         if compiled is None:
-            read, marked = _leaf_reader(_ok_point(i, value, pt), source, itertools.count())
-            parts = re.split(r'"\\u0000(\d+)"', _json_text(marked, "\n    ", keys))
-            at = [int(functools.reduce(dict.get, path, marked)[1:]) for path in _CSV_NUMBERS]
-            compiled = (read, "%s".join(p.replace("%", "%%") for p in parts[::2]),
-                        _getter(itemgetter, [int(n) for n in parts[1::2]]),
-                        _getter(itemgetter, at))
-        read, fmt, in_text_order, csv_numbers = compiled
-        leaves = read(source)
-        if _PLAIN_NUMBERS.issuperset(map(type, leaves)):
-            reprs = list(map(repr, leaves))
-            if _NON_FINITE.isdisjoint(reprs):
-                return fmt % in_text_order(reprs), row(i, csv_numbers(reprs))
-        return (_json_text(_ok_point(i, value, pt), "\n    ", keys),
-                row(i, csv_numbers(list(map(_fmt, leaves)))))
+            compiled = compile_format(i, value, pt)
+        fmt, in_text_order, csv_numbers = compiled
+        fixed_a, own_a = pt.report_a.numbers()
+        fixed_b, own_b = pt.report_b.numbers()
+        numbers = (i, value, *_point_numbers(pt), *own_a, *own_b)
+        reprs, a, b = _plain_reprs(numbers), fixed_reprs(0, fixed_a), fixed_reprs(1, fixed_b)
+        if reprs and a and b:
+            reprs += a + b
+            text = fmt % in_text_order(reprs)
+        else:
+            reprs = list(map(_fmt, numbers + fixed_a + fixed_b))
+            text = _json_text(_ok_point(i, value, pt), "\n    ", keys)
+        row = csv_numbers(reprs)
+        return text, [i, mode, row[0], "ok", "", *row[1:]]
     return write
 
 
@@ -659,8 +651,13 @@ def _write_manifest(out: Path, command: str, cfg, outputs: list[str]) -> None:
 
 
 def _run_command(command: str, cfg, out: Path) -> int:
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _COMMANDS[command][2](cfg, out)
+    try:
+        outputs = _COMMANDS[command][2](cfg, out)
+    finally:  # a run that wrote no file leaves no directory that it made
+        if made and not any(out.iterdir()):
+            out.rmdir()
     _write_manifest(out, command, cfg, outputs)
     print(f"{command}: wrote {', '.join(outputs)} and manifest.json to {out}")
     return 0

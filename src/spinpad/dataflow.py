@@ -224,6 +224,7 @@ class AccessTrace:
     def __post_init__(self) -> None:
         self._dram = sum(sum(self.totals.get((phase, Store.DRAM), (0, 0)))
                          for phase in Phase)
+        self.priced = None  # energy's record of this unchanging trace at one system config
 
     def dram_elements(self) -> int:
         return self._dram

@@ -14,6 +14,13 @@ capacities stay inside the trace's decision ranges (see dataflow), so a sweep
 builds one trace per decision range it passes through, not one per point. A
 point the memo serves builds no config and reads the trace's stored DRAM total.
 
+Counts are priced apart from the technology, as Accelergy does: a trace keeps
+one record per system config object (`priced`) of its DRAM and compute energy,
+base time (cycles / clock plus DRAM latency) and per-store counts, so
+estimate_energy runs only the multiply-adds the array metrics enter, in the
+order of pricing on every call: no number changes. Each report priced from one
+record shares its tuple of those fixed numbers, which the CLI prints once.
+
 The heterogeneous write-energy model splits a binary32 word into sign /
 exponent / mantissa segments stored on arrays with different write operating
 points; mantissa bits outside the optimized span ride with the exponent
@@ -22,7 +29,8 @@ segment's array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .arraymodel import (
     ArrayMetrics,
@@ -32,6 +40,7 @@ from .arraymodel import (
     metrics_at_capacity,
 )
 from .dataflow import (
+    _BUFFERS,
     AcceleratorConfig,
     AccessTrace,
     LayerSpec,
@@ -73,11 +82,15 @@ class PhaseEnergy:
         return self.dram_nj + self.onchip_nj + self.leakage_nj + self.compute_nj
 
     def as_dict(self) -> dict:
-        """The report keys, each the name of the field or property it reads; the
-        CLI's system-compare writer reads a report's numbers by these names."""
+        """The report keys, each the name of the field or property it reads."""
         return {"dram_nj": self.dram_nj, "onchip_nj": self.onchip_nj,
                 "leakage_nj": self.leakage_nj, "compute_nj": self.compute_nj,
                 "total_nj": self.total_nj, "time_ns": self.time_ns}
+
+
+_PHASES = tuple(Phase)
+# as_dict()'s names of the numbers a trace and system config fix, then of the others
+_NAMES = (("dram_nj", "compute_nj"), ("onchip_nj", "leakage_nj", "time_ns", "total_nj"))
 
 
 @dataclass(frozen=True)
@@ -85,13 +98,44 @@ class EnergyReport(PhaseEnergy):
     """One iteration: each component is the sum of its per-phase values."""
 
     per_phase: dict[Phase, PhaseEnergy]
+    priced: tuple | None = field(default=None, compare=False, repr=False)  # numbers()
+
+    # the key path in as_dict() of each number of numbers(): (fixed's, own's)
+    NUMBER_KEYS = tuple(tuple((*at, name) for at in ((), *(("per_phase", p.value) for p in Phase))
+                              for name in names) for names in _NAMES)
 
     def as_dict(self) -> dict:
         return {**super().as_dict(), "per_phase": {
             phase.value: pe.as_dict() for phase, pe in self.per_phase.items()}}
 
+    def numbers(self) -> tuple[tuple, tuple]:
+        """(fixed, own): the report's numbers, then each phase's, in _NAMES' order; every
+        report priced from one record shares its `fixed` tuple, one built by hand makes both."""
+        if self.priced:
+            return self.priced
+        at = (self, *map(self.per_phase.__getitem__, _PHASES))
+        return tuple(tuple(getattr(pe, name) for pe in at for name in names)
+                     for names in _NAMES)
 
-_PHASES = tuple(Phase)
+
+def _priced(trace: AccessTrace, sys: SystemEnergyConfig) -> tuple:
+    """trace's record at the config object sys: (sys, per phase (dram_nj, cycles / clock
+    plus DRAM latency in ns, compute_nj, each _BUFFERS store's (reads, writes)), `fixed`)."""
+    if trace.priced and trace.priced[0] is sys:
+        return trace.priced
+    totals, compute = trace.totals, trace.phase_compute
+    phases = []
+    for phase in _PHASES:
+        reads, writes = totals.get((phase, Store.DRAM), (0, 0))
+        dram_accesses = (reads + writes) / sys.dram_burst_elements
+        macs, cycles = compute.get(phase, (0, 0))
+        phases.append((dram_accesses * sys.dram_energy_per_access_nj,
+                       cycles / sys.clock_ghz + dram_accesses * sys.dram_latency_ns,
+                       macs * sys.mac_energy_pj / 1e3,
+                       [totals.get((phase, store), (0, 0)) for store in _BUFFERS]))
+    dram, compute = [p[0] for p in phases], [p[2] for p in phases]
+    trace.priced = (sys, phases, (sum(dram), sum(compute), *chain(*zip(dram, compute))))
+    return trace.priced
 
 
 def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
@@ -101,33 +145,28 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
     Reads the trace's per-(phase, store) totals and per-phase compute; a key
     the trace lacks counts as zero.
     """
-    buffers = [(store, m.read_energy_pj, m.write_energy_pj, m.read_latency_ns,
-                m.write_latency_ns) for store, m in
-               ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))]
+    _, phases, fixed = _priced(trace, sys)
+    buffers = [(m.read_energy_pj, m.write_energy_pj, m.read_latency_ns, m.write_latency_ns)
+               for m in (act, wt, err)]
     leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
-    totals, compute = trace.totals, trace.phase_compute
-    burst, access_nj = sys.dram_burst_elements, sys.dram_energy_per_access_nj
-    dram_latency_ns, clock_ghz, mac_pj = sys.dram_latency_ns, sys.clock_ghz, sys.mac_energy_pj
     per_phase: dict[Phase, PhaseEnergy] = {}
-    rows = []  # (dram_nj, onchip_nj, leakage_nj, compute_nj, time_ns) per phase
-    for phase in _PHASES:
-        reads, writes = totals.get((phase, Store.DRAM), (0, 0))
-        dram_accesses = (reads + writes) / burst
-        macs, cycles = compute.get(phase, (0, 0))
+    own = []  # (onchip_nj, leakage_nj, time_ns, total_nj) per phase
+    for phase, (dram_nj, time_ns, compute_nj, counts) in zip(_PHASES, phases):
         onchip_pj = 0.0
-        time_ns = cycles / clock_ghz + dram_accesses * dram_latency_ns
-        for store, read_pj, write_pj, read_ns, write_ns in buffers:
-            reads, writes = totals.get((phase, store), (0, 0))
+        for (reads, writes), (read_pj, write_pj, read_ns, write_ns) in zip(counts, buffers):
             onchip_pj += reads * read_pj
             onchip_pj += writes * write_pj
             time_ns += reads * read_ns
             time_ns += writes * write_ns
-        rows.append((dram_accesses * access_nj, onchip_pj / 1e3,
-                     leak_mw * time_ns / 1e3,  # mW * ns = pJ
-                     macs * mac_pj / 1e3, time_ns))
-        per_phase[phase] = PhaseEnergy(*rows[-1])
+        onchip_nj, leakage_nj = onchip_pj / 1e3, leak_mw * time_ns / 1e3  # mW * ns = pJ
+        own += onchip_nj, leakage_nj, time_ns, dram_nj + onchip_nj + leakage_nj + compute_nj
+        per_phase[phase] = PhaseEnergy(dram_nj, onchip_nj, leakage_nj, compute_nj, time_ns)
     # each component summed over the phases in order
-    return EnergyReport(*map(sum, zip(*rows)), per_phase)
+    dram, compute = fixed[:2]
+    onchip, leakage, time_ns = sum(own[0::4]), sum(own[1::4]), sum(own[2::4])
+    return EnergyReport(dram, onchip, leakage, compute, time_ns, per_phase,
+                        (fixed, (onchip, leakage, time_ns, dram + onchip + leakage + compute,
+                                 *own)))
 
 
 @dataclass(frozen=True)

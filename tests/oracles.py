@@ -14,6 +14,7 @@ import numpy as np
 from spinpad.dataflow import (ELEMENT_BYTES, Phase, Store, activation_elements,
                               count_phase_accesses, gemm_view, output_elements,
                               weight_elements)
+from spinpad.energy import EnergyReport, PhaseEnergy
 from spinpad.errors import InvalidParameterError
 from spinpad.errortrain import (_K_ACT, _K_BIAS, _K_ERR, _K_SHUFFLE, _K_WEIGHT,
                                  TrainingResult, _activation_pair, _backprop, _forward,
@@ -605,3 +606,29 @@ def components(report):
     """The four energy components of a phase or iteration report, by name."""
     return {name: getattr(report, name)
             for name in ("dram_nj", "onchip_nj", "leakage_nj", "compute_nj")}
+
+
+def estimate_energy_per_call(trace, act, wt, err, sys):
+    """energy.estimate_energy as it was before a trace kept its priced record: every
+    call prices the trace's DRAM, compute and base time itself, in the same order."""
+    buffers = [(store, m.read_energy_pj, m.write_energy_pj, m.read_latency_ns,
+                m.write_latency_ns) for store, m in
+               ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))]
+    leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
+    per_phase, rows = {}, []
+    for phase in Phase:
+        reads, writes = trace.totals.get((phase, Store.DRAM), (0, 0))
+        dram_accesses = (reads + writes) / sys.dram_burst_elements
+        macs, cycles = trace.phase_compute.get(phase, (0, 0))
+        onchip_pj = 0.0
+        time_ns = cycles / sys.clock_ghz + dram_accesses * sys.dram_latency_ns
+        for store, read_pj, write_pj, read_ns, write_ns in buffers:
+            reads, writes = trace.totals.get((phase, store), (0, 0))
+            onchip_pj += reads * read_pj
+            onchip_pj += writes * write_pj
+            time_ns += reads * read_ns
+            time_ns += writes * write_ns
+        rows.append((dram_accesses * sys.dram_energy_per_access_nj, onchip_pj / 1e3,
+                     leak_mw * time_ns / 1e3, macs * sys.mac_energy_pj / 1e3, time_ns))
+        per_phase[phase] = PhaseEnergy(*rows[-1])
+    return EnergyReport(*map(sum, zip(*rows)), per_phase)

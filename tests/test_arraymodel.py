@@ -403,6 +403,21 @@ def test_csv_errors(tmp_path):
         CalibrationTable.from_csv(path)  # no anchors at all
 
 
+def test_csv_skips_comment_lines_and_counts_them(tmp_path):
+    # the CLI heads its CSV files with a "# manifest: ..." line; errors name file lines
+    lines = (CONFIGS / "calibration_default.csv").read_text().splitlines()
+    path = tmp_path / "cal.csv"
+    path.write_text("# manifest: manifest.json\n" + "\n".join(lines) + "\n")
+    assert CalibrationTable.from_csv(path).anchors == CalibrationTable().anchors
+    lines.insert(2, "sram,32,0.1,1,1")
+    path.write_text("# manifest: manifest.json\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:4: expected 9 fields, got 5")):
+        CalibrationTable.from_csv(path)
+    path.write_text("# one\n# two\nnope\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3: expected header")):
+        CalibrationTable.from_csv(path)
+
+
 @pytest.mark.parametrize("row,match", [
     ("sram,183.0,0.5,0.2,0.1,0.1,0.1,594.0,1e-9", "sram wer must be 0.0, got 1e-09"),
     ("mram_base,512.0,0.5,3.3,10.2,0.3,1.5,323.0,0.0",

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinpad
@@ -24,7 +24,7 @@ from spinpad import cli, energy
 from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
                                 metrics_at_capacity)
 from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
-from spinpad.dataflow import AcceleratorConfig, Phase
+from spinpad.dataflow import AcceleratorConfig, AccessTrace, Phase, Store
 from spinpad.energy import ComparisonPoint, EnergyReport, PhaseEnergy, SystemEnergyConfig
 from spinpad.errors import ConfigError, InvalidFitError
 from spinpad.errortrain import (BufferErrorBinding, ExperimentConfig, SegmentErrorConfig,
@@ -366,7 +366,7 @@ def test_wer_sweep_failed_fit_exits_two_and_writes_no_data_file(tmp_path, capsys
     out = tmp_path / "o"
     assert run_cli("wer-sweep", *argv, "--out", str(out)) == 2
     assert "runtime failure: no WER fit at" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_wer_sweep_failed_fit_on_rerun_leaves_old_files(tmp_path, monkeypatch):
@@ -432,6 +432,25 @@ def test_array_sweep_rerun_byte_identical(tmp_path):
     out = tmp_path / "o"
     assert run_cli("array-sweep", "--out", str(out)) == 0
     assert_rerun_identical(out, tmp_path)
+
+
+def test_array_sweep_output_reads_back_as_calibration(tmp_path):
+    """The library reads the metrics.csv that array-sweep writes, "# manifest" line
+    and all: at each row's capacity its table gives that row exactly, and
+    system-compare over it writes the built-in table's breakdown at those capacities."""
+    out = tmp_path / "o"
+    assert run_cli("array-sweep", "--out", str(out)) == 0
+    table = CalibrationTable.from_csv(out / "metrics.csv")
+    for row in read_csv(out / "metrics.csv"):
+        m = metrics_at_capacity(table, MemoryTechnology.from_name(row["technology"]),
+                                float(row["capacity_kb"]))
+        assert [cli._fmt(getattr(m, f)) for f in cli._METRIC_FIELDS] == [
+            row[f] for f in cli._METRIC_FIELDS]
+    for name, flags in (("read", ["--calibration", str(out / "metrics.csv")]),
+                        ("built-in", [])):
+        assert run_cli("system-compare", *flags, "--out", str(tmp_path / name)) == 0
+    assert filecmp.cmp(tmp_path / "read" / "breakdown.json",
+                       tmp_path / "built-in" / "breakdown.json", shallow=False)
 
 
 def test_array_sweep_unknown_technology_exits_one(tmp_path):
@@ -683,6 +702,24 @@ def test_system_compare_failure_mid_sweep_leaves_old_files(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("existed", [False, True])
+def test_runtime_failure_removes_only_an_output_directory_it_made(tmp_path, monkeypatch,
+                                                                   existed):
+    """A run that fails before it writes a file leaves no directory it made, and an
+    empty directory that was there before stays."""
+    out = tmp_path / "o"
+    if existed:
+        out.mkdir()
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "compare_iso_capacity", failing)
+    assert run_cli("system-compare", "--sweep", "32.0", "--out", str(out)) == 2
+    assert out.exists() is existed
+    assert not existed or list(out.iterdir()) == []
+
+
 def test_system_compare_breakdown_with_error_points_matches_stdlib(tmp_path):
     """Error points first, between ok ones and last: the streamed separators,
     head and tail give json.dumps's bytes."""
@@ -748,35 +785,65 @@ _FIRST_POINT = ComparisonPoint(32.0, 32.0, *[EnergyReport(
     1.5, 2.5, 3.5, 4.5, 5.5, {p: PhaseEnergy(0.5, 1, 2.0, 3.0, 4.0) for p in Phase})] * 2, 7, 7)
 
 
-@given(point=_ok_points())
+def _shared_record_points() -> list:
+    """[(index, sweep value, ComparisonPoint or None for an error point)]: three points
+    priced from one trace, so their reports share one record, with an error point
+    between the first two, then a hand-built copy of the last with -0.0 where its
+    weight-update phase has 0.0 (that phase moves no DRAM word and runs no MAC)."""
+    trace = AccessTrace({(Phase.FORWARD, Store.DRAM): [64, 32],
+                         (Phase.FORWARD, Store.ACTIVATION): [100, 50],
+                         (Phase.BACKWARD_INPUT_GRAD, Store.WEIGHT): [7, 0]},
+                        {Phase.FORWARD: (1000, 200)})
+    table, sys = CalibrationTable(), SystemEnergyConfig()
+    points = []
+    for cap in (32.0, 64.5, 183.0):
+        a, b = (metrics_at_capacity(table, MemoryTechnology.from_name(name), cap)
+                for name in ("sram", "mram_base"))
+        points.append(ComparisonPoint(cap, cap, energy.estimate_energy(trace, a, a, a, sys),
+                                      energy.estimate_energy(trace, b, b, b, sys), 96, 96))
+    last = points[-1].report_a
+    update = replace(last.per_phase[Phase.WEIGHT_UPDATE], dram_nj=-0.0, compute_nj=-0.0)
+    hand = replace(last, per_phase={**last.per_phase, Phase.WEIGHT_UPDATE: update},
+                   priced=None)
+    return [(0, 32.0, points[0]), (1, 40.0, None), (2, 64.5, points[1]),
+            (3, 183.0, points[2]), (4, 183.0, replace(points[2], report_a=hand))]
+
+
+@given(points=_ok_points().map(lambda point: [point]))
+@example(points=_shared_record_points())
 @settings(max_examples=300)
 @np.errstate(all="ignore")  # np.float64 leaves may overflow in the derived totals
-def test_point_writer_matches_json_text(point):
+def test_point_writer_matches_json_text(points):
     """The point writer's object is _json_text's, from the format when every number
     is a finite int or float and through _json_text otherwise, and its row is the
-    row each number's _fmt gives."""
-    i, value, pt = point
-    try:
-        doc = cli._ok_point(i, value, pt)
-    except (ZeroDivisionError, OverflowError):  # improvement and totals are derived
-        assume(False)
+    row each number's _fmt gives. One writer writes the points in turn, an error
+    point (None) going through _json_text between them, as a sweep does."""
     keys = {}
-    expected = _json_text(doc, "\n    ", keys)
-    plain = all(type(v) is int or type(v) is float and math.isfinite(v)
-                for v in _doc_leaves(doc) if type(v) is not str)
-    old_row = [i, "iso-area", cli._fmt(value), "ok", "", cli._fmt(pt.capacity_a_kb),
-               cli._fmt(pt.capacity_b_kb), cli._fmt(pt.report_a.total_nj),
-               cli._fmt(pt.report_b.total_nj), cli._fmt(doc["improvement"]),
-               pt.dram_elements_a, pt.dram_elements_b]
-    # a format compiled from a plain point, then from this one
-    for first in (_FIRST_POINT, pt):
+    # a format compiled from a plain point, then from the first one
+    for first in (_FIRST_POINT, points[0][2]):
         write = cli._point_writer("iso-area", keys)
         write(0, 1.0, first)
-        with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
-            text, row = write(i, value, pt)
-        assert text == expected
-        assert spy.called is not plain
-        assert _csv_line(row) == _csv_line(old_row)
+        for i, value, pt in points:
+            if pt is None:
+                _json_text({"index": i, "sweep_value": value, "status": "error",
+                            "detail": "outside calibrated range"}, "\n    ", keys)
+                continue
+            try:
+                doc = cli._ok_point(i, value, pt)
+            except (ZeroDivisionError, OverflowError):  # improvement and totals are derived
+                assume(False)
+            expected = _json_text(doc, "\n    ", keys)
+            plain = all(type(v) is int or type(v) is float and math.isfinite(v)
+                        for v in _doc_leaves(doc) if type(v) is not str)
+            old_row = [i, "iso-area", cli._fmt(value), "ok", "", cli._fmt(pt.capacity_a_kb),
+                       cli._fmt(pt.capacity_b_kb), cli._fmt(pt.report_a.total_nj),
+                       cli._fmt(pt.report_b.total_nj), cli._fmt(doc["improvement"]),
+                       pt.dram_elements_a, pt.dram_elements_b]
+            with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
+                text, row = write(i, value, pt)
+            assert text == expected
+            assert spy.called is not plain
+            assert _csv_line(row) == _csv_line(old_row)
 
 
 # ---------------------------------------------------------- hetero-write

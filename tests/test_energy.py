@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import components
 from spinpad.arraymodel import (
     ArrayMetrics,
@@ -221,6 +222,58 @@ def test_as_dict_shape():
     fwd = d["per_phase"]["forward"]
     assert fwd["total_nj"] == pytest.approx(
         fwd["dram_nj"] + fwd["onchip_nj"] + fwd["leakage_nj"] + fwd["compute_nj"])
+
+
+_COUNTS = st.one_of(st.just(0), st.integers(0, 10 ** 15))
+
+
+@st.composite
+def _traces(draw):
+    """A trace with any subset of its keys, counts zero or up to 1e15."""
+    totals = draw(st.dictionaries(st.tuples(st.sampled_from(Phase), st.sampled_from(Store)),
+                                  st.lists(_COUNTS, min_size=2, max_size=2)))
+    compute = draw(st.dictionaries(st.sampled_from(Phase), st.tuples(_COUNTS, _COUNTS)))
+    return AccessTrace(totals, compute)
+
+
+_COSTS = st.floats(0.0, 1e6)
+_METRICS = st.builds(flat_metrics, read_latency_ns=_COSTS, write_latency_ns=_COSTS,
+                     read_energy_pj=_COSTS, write_energy_pj=_COSTS, leakage_mw=_COSTS)
+_POSITIVE = st.floats(1e-6, 1e6)
+_SYSTEMS = st.builds(SystemEnergyConfig, _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE,
+                     st.integers(1, 64))
+
+
+def _bits(report) -> list[str]:
+    """Each number of a report and of its phases, in order, as float.hex: -0.0 is not 0.0."""
+    return [float.hex(getattr(pe, name)) for pe in (report, *report.per_phase.values())
+            for name in ("dram_nj", "onchip_nj", "leakage_nj", "compute_nj", "time_ns",
+                         "total_nj")] + [p.value for p in report.per_phase]
+
+
+@given(trace=_traces(), techs=st.lists(st.tuples(_METRICS, _METRICS, _METRICS),
+                                       min_size=2, max_size=2),
+       systems=st.lists(_SYSTEMS, min_size=2, max_size=2))
+def test_priced_trace_gives_the_reports_of_pricing_on_every_call(trace, techs, systems):
+    """A trace keeps its record priced at one system config: the reports it gives are,
+    field for field and bit for bit, those of pricing a fresh copy on every call and
+    those of the per-call reference; both technologies share the record's fixed
+    numbers, and a second config in turn on the same trace prices it again."""
+    for sys in (systems[0], systems[1], systems[1], systems[0]):
+        reports = []
+        for metrics in techs:
+            got = estimate_energy(trace, *metrics, sys)
+            fresh = AccessTrace(trace.totals, trace.phase_compute)
+            for other in (estimate_energy(fresh, *metrics, sys),
+                          oracles.estimate_energy_per_call(trace, *metrics, sys)):
+                assert got == other
+                assert _bits(got) == _bits(other)
+            # the writer's flat numbers are the report's fields
+            assert ([list(map(float.hex, part)) for part in got.numbers()]
+                    == [list(map(float.hex, part)) for part in
+                        replace(got, priced=None).numbers()])
+            reports.append(got)
+        assert reports[0].numbers()[0] is reports[1].numbers()[0]
 
 
 # --------------------------------------------------------- iso-capacity
