@@ -11,7 +11,8 @@ the parent first, odd pairs the change. Every run has
 PYTHONDONTWRITEBYTECODE=1 set, and before it the side's
 src/spinpad/__pycache__, bench/__pycache__ and .bench_work are deleted, so
 neither side imports bytecode or reads a file that another run left. The
-script then prints one block per workload: for each end-to-end metric of
+script first prints the line totals of both sides' src/spinpad/*.py, as
+`wc -l` counts them, and at the end one block per workload: for each end-to-end metric of
 BENCHMARK.json, both medians, the parent's interquartile range and the
 pairs the change won, then the failed calls of each side, then whether the
 two sides printed the same data-file digests (bench/run.py's `sha256` line)
@@ -45,6 +46,11 @@ def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
     digests = [json.loads(line[len("sha256 "):]) for line in lines
                if line.startswith("sha256 ")]
     return {**json.loads(lines[-1]), "sha256": digests[-1] if digests else None}
+
+
+def src_lines(side: Path) -> int:
+    """The newlines in side's src/spinpad/*.py: the total of `wc -l`."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src/spinpad").glob("*.py"))
 
 
 def summary(spec: dict, parent: list[dict], change: list[dict]) -> None:
@@ -87,6 +93,9 @@ def main() -> int:
         archive = subprocess.run(["git", "archive", args.base], check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        lines = src_lines(parent), src_lines(change)
+        print(f"src/spinpad/*.py lines: parent {lines[0]} change {lines[1]} "
+              f"({lines[1] - lines[0]:+d})", flush=True)
         for workload, runs in results.items():
             for i in range(args.pairs):
                 seed = args.seed + i

@@ -22,7 +22,6 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -78,37 +77,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _json_text(value, indent: str = "\n", keys: dict | None = None) -> str:
-    """Exactly json.dumps(value, indent=2, sort_keys=True), without the stdlib's
-    pure-Python encoder that any indent runs; `indent` is the newline and
-    indent of the line `value` starts on, and `keys` caches each key's encoding
-    and ": " across the calls that write one document."""
-    keys = {} if keys is None else keys
-
-    def text(value, indent: str) -> str:
-        kind = type(value)
-        if kind is int or kind is float and value - value == 0.0:  # inf - inf is nan
-            return repr(value)
-        inner = indent + "  "
-        if isinstance(value, dict) and value:  # a finite float value is written inline
-            return "{" + inner + ("," + inner).join([
-                (keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k) + ": "))
-                + (repr(v) if type(v) is float and v - v == 0.0 else text(v, inner))
-                for k, v in sorted(value.items())]) + indent + "}"
-        if isinstance(value, (list, tuple)) and value:
-            return "[" + inner + ("," + inner).join(
-                [text(v, inner) for v in value]) + indent + "]"
-        return json.dumps(value)  # str, bool, None, inf, nan, subclasses, {} and []
-    return text(value, indent)
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line after the first set at
+    `indent`'s newline and indent; json.dumps escapes a newline inside a string, so
+    every "\n" it writes is a line break."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    doc being payload with its "manifest" key. system-compare writes its
-    breakdown.json point by point instead, to the same bytes: an ok point fills a
-    format compiled from _json_text's bytes for the sweep's first ok point
-    (_point_writer), and any other point goes through _json_text."""
-    path.write_text(_json_text({"manifest": "manifest.json", **payload}) + "\n")
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", doc being payload with
+    its "manifest" key. system-compare writes its breakdown.json point by point
+    instead, to the same bytes: an ok point fills a format compiled from the
+    sweep's first ok point (_point_writer), and any other point goes through _dumps."""
+    path.write_text(_dumps({"manifest": "manifest.json", **payload}) + "\n")
 
 
 def _fmt(value) -> str:
@@ -120,9 +101,7 @@ def _load_json_object(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except OSError as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -405,16 +384,16 @@ def _plain_reprs(numbers) -> list | None:
     return None
 
 
-def _point_writer(mode: str, keys: dict):
+def _point_writer(mode: str):
     """write(i, value, pt) -> (the ok point's breakdown.json object at the point indent,
-    exactly _json_text(_ok_point(i, value, pt), "\\n    ", keys), and its compare.csv row).
+    exactly _dumps(_ok_point(i, value, pt), "\\n    "), and its compare.csv row).
 
-    The first call compiles one % format from that point's own _json_text bytes, each
+    The first call compiles one % format from that point's own _dumps bytes, each
     number replaced by a marker in the writer's order: the point's own numbers, each
     report's own numbers, then each report's fixed ones (EnergyReport.numbers). A point
     whose numbers are all finite ints and floats fills the format with their reprs,
     which its row shares; any other point (a bool, an np.float64, inf or nan) goes
-    through _json_text. A report's fixed tuple is shared by every report priced from
+    through _dumps. A report's fixed tuple is shared by every report priced from
     one record, so the reprs of the last one of each side, and their check, are kept
     and reused while a report holds that very tuple: keyed by identity, never by
     value, since -0.0 == 0.0."""
@@ -436,7 +415,7 @@ def _point_writer(mode: str, keys: dict):
         doc = _ok_point(i, value, pt)
         for n, path in enumerate(paths):
             functools.reduce(dict.get, path[:-1], doc)[path[-1]] = f"\0{n}"
-        parts = re.split(r'"\\u0000(\d+)"', _json_text(doc, "\n    ", keys))
+        parts = re.split(r'"\\u0000(\d+)"', _dumps(doc, "\n    "))
         return ("%s".join(p.replace("%", "%%") for p in parts[::2]),
                 itemgetter(*map(int, parts[1::2])),
                 itemgetter(*[paths.index(path) for path in _CSV_NUMBERS]))
@@ -455,7 +434,7 @@ def _point_writer(mode: str, keys: dict):
             text = fmt % in_text_order(reprs)
         else:
             reprs = list(map(_fmt, numbers + fixed_a + fixed_b))
-            text = _json_text(_ok_point(i, value, pt), "\n    ", keys)
+            text = _dumps(_ok_point(i, value, pt), "\n    ")
         row = csv_numbers(reprs)
         return text, [i, mode, row[0], "ok", "", *row[1:]]
     return write
@@ -472,11 +451,10 @@ def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
     compare = (compare_iso_capacity if cfg.mode == "iso-capacity"
                else compare_iso_area)
     memo: dict = {}  # the last trace per side, reused inside its decision ranges
-    keys: dict = {}  # each key's encoding, shared by every point of the document
     # json.dumps's bytes around the points, which sort last and sit at "\n    "
-    head, tail = _json_text({"manifest": "manifest.json", "mode": cfg.mode, "points": [0]},
-                            keys=keys).split("\n    0")
-    write_ok = _point_writer(cfg.mode, keys)  # its format lives as long as this sweep
+    head, tail = _dumps({"manifest": "manifest.json", "mode": cfg.mode,
+                         "points": [0]}).split("\n    0")
+    write_ok = _point_writer(cfg.mode)  # its format lives as long as this sweep
     failures = 0
 
     def rows(fh):  # writes each point's JSON object and yields its CSV row
@@ -487,8 +465,8 @@ def _exec_system_compare(cfg: _SystemCompare, out: Path) -> list[str]:
                              table=table, sys=cfg.system, memo=memo)
             except SpinpadError as exc:
                 failures += 1
-                text = _json_text({"index": i, "sweep_value": value, "status": "error",
-                                   "detail": str(exc)}, "\n    ", keys)
+                text = _dumps({"index": i, "sweep_value": value, "status": "error",
+                               "detail": str(exc)}, "\n    ")
                 row = [i, cfg.mode, _fmt(value), "error", str(exc), "", "", "", "", "", "", ""]
             else:
                 text, row = write_ok(i, value, pt)
@@ -647,7 +625,7 @@ def _write_manifest(out: Path, command: str, cfg, outputs: list[str]) -> None:
         "outputs": outputs,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    (out / "manifest.json").write_text(_json_text(manifest) + "\n")
+    (out / "manifest.json").write_text(_dumps(manifest) + "\n")
 
 
 def _run_command(command: str, cfg, out: Path) -> int:

@@ -98,7 +98,9 @@ class EnergyReport(PhaseEnergy):
     """One iteration: each component is the sum of its per-phase values."""
 
     per_phase: dict[Phase, PhaseEnergy]
-    priced: tuple | None = field(default=None, compare=False, repr=False)  # numbers()
+    # numbers(), set by estimate_energy; replace() leaves it unset, so a replaced
+    # report reads its numbers from its fields
+    priced: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     # the key path in as_dict() of each number of numbers(): (fixed's, own's)
     NUMBER_KEYS = tuple(tuple((*at, name) for at in ((), *(("per_phase", p.value) for p in Phase))
@@ -167,7 +169,9 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
     dram, compute = fixed[:2]
     onchip, leakage, time_ns = sum(own[0::4]), sum(own[1::4]), sum(own[2::4])
     own[:0] = onchip, leakage, time_ns, dram + onchip + leakage + compute
-    return EnergyReport(dram, onchip, leakage, compute, time_ns, per_phase, (fixed, own))
+    report = EnergyReport(dram, onchip, leakage, compute, time_ns, per_phase)
+    object.__setattr__(report, "priced", (fixed, own))
+    return report
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,11 @@ def compare_iso_area(
     table: CalibrationTable | None = None,
     sys: SystemEnergyConfig | None = None, memo: dict | None = None,
 ) -> ComparisonPoint:
-    """Equal silicon budget: each technology resolves its own capacity."""
+    """Equal silicon budget: each technology resolves its own capacity.
+
+    area_mm2 is the area of one buffer: it becomes one capacity per technology, and
+    each of the three buffers (activation, weight, error; _buffered) gets that
+    capacity, so one side's scratchpad takes 3 * area_mm2 (165 mm^2 is 495 mm^2)."""
     table = table or CalibrationTable()
     sys = sys or SystemEnergyConfig()
     caps, reports, drams = [], [], []

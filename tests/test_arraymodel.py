@@ -299,6 +299,23 @@ def test_mram_leakage_advantage_above_128kb():
                 < metrics_at_capacity(TABLE, SRAM, cap).leakage_mw), cap
 
 
+def test_default_anchors_have_their_documented_scale():
+    """The per-bit leakage (leakage_mw read as mW) and the equal-capacity area ratio
+    that the arraymodel docstring and README state for the built-in anchors."""
+    per_bit_nw = {(kind, p.capacity_kb): f"{p.leakage_mw * 1e6 / (p.capacity_kb * 8192):.3g}"
+                  for kind in (TechnologyKind.SRAM, TechnologyKind.MRAM_BASE)
+                  for p in TABLE.anchors_for(kind)}
+    sram, mram = TechnologyKind.SRAM, TechnologyKind.MRAM_BASE
+    stated = {(sram, 183.0): "396", (sram, 40592.0): "193", (mram, 512.0): "77",
+              (mram, 131072.0): "13.6", (mram, 524288.0): "17.5"}
+    assert {key: per_bit_nw[key] for key in stated} == stated
+    # the ratio is log-linear between the anchor capacities, so its ends sit on them
+    caps = {cap for _, cap in per_bit_nw}
+    ratios = [metrics_at_capacity(TABLE, SRAM, cap).area_mm2
+              / metrics_at_capacity(TABLE, MRAM, cap).area_mm2 for cap in caps]
+    assert (f"{min(ratios):.3g}", f"{max(ratios):.3g}") == ("2.39", "2.69")
+
+
 def _fit_through(baseline_amp, target_amp, target_wer):
     """ln WER line pinned to the baseline WER at baseline_amp and target_wer
     at target_amp."""

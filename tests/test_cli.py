@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import functools
 import hashlib
 import io
 import json
@@ -23,8 +24,8 @@ import spinpad
 from spinpad import cli, energy
 from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
                                 metrics_at_capacity)
-from spinpad.cli import _COMMANDS, _json_text, _parse_float_list, build_parser, main
-from spinpad.dataflow import AcceleratorConfig, AccessTrace, Phase, Store
+from spinpad.cli import _COMMANDS, _parse_float_list, build_parser, main
+from spinpad.dataflow import AcceleratorConfig, AccessTrace, Phase, Store, load_workload
 from spinpad.energy import ComparisonPoint, EnergyReport, PhaseEnergy, SystemEnergyConfig
 from spinpad.errors import ConfigError, InvalidFitError
 from spinpad.errortrain import (BufferErrorBinding, ExperimentConfig, SegmentErrorConfig,
@@ -126,46 +127,6 @@ def test_non_finite_grid_exits_one_and_writes_nothing(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(out)) == 1
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-# ------------------------------------------------------------ JSON writer
-
-_JSON_FLOATS = st.one_of(
-    st.floats(),  # nan, +-inf, +-0.0 and subnormals included
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5,
-                     float("inf"), float("-inf"), float("nan")]),
-    st.floats(allow_nan=False).map(np.float64))
-_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t/')))
-_JSON_LEAVES = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(), _JSON_FLOATS)
-_JSON_DOCS = st.recursive(
-    _JSON_LEAVES,
-    lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.lists(children, max_size=4).map(tuple),
-                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
-    max_leaves=30)
-
-
-@given(doc=_JSON_DOCS)
-@settings(max_examples=300)
-def test_json_writer_matches_stdlib_indent_bytes(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-def test_json_writer_matches_stdlib_on_edge_values():
-    doc = {"z": [], "a": {}, "e\u00e9\"\\": (1, -0.0, 5e-324, 1e16, np.float64(1e-5)),
-           "n": [float("nan"), float("inf"), -float("inf"), None, True, False, [[], {}]],
-           "\x00": {"b": {"c": 10 ** 30}}}
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    # a dict writes a finite float value inline: every other value beside it
-    inline = {"f64": np.float64(0.1), "nan": float("nan"), "inf": float("inf"),
-              "-inf": -float("inf"), "-0": -0.0, "tiny": 5e-324, "one": 1.0, "int": 3,
-              "true": True, "none": None, "str": "1.5", "\u00e9": 2.5}
-    # one key at several depths, beside and inside a list
-    nested = {"k": {"k": {"k": 1.5, "j": [{"k": float("nan")}, {"k": -2.5}]}, "j": 0.5},
-              "j": [{"k": {"k": {}}}]}
-    # back to back, the second document reusing the first one's keys
-    for doc in (inline, nested, {"k": "k", "j": [inline, nested]}, inline):
-        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------ exit codes
@@ -736,10 +697,10 @@ def test_system_compare_breakdown_with_error_points_matches_stdlib(tmp_path):
 
 
 def test_system_compare_fills_each_ok_point_from_one_format(tmp_path):
-    """_json_text writes the document's head, the format and the manifest, and no
+    """_dumps writes the document's head, the format and the manifest, and no
     ok point: every one of them fills the format compiled from the first."""
     out = tmp_path / "o"
-    with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
+    with mock.patch.object(cli, "_dumps", wraps=cli._dumps) as spy:
         assert run_cli("system-compare", "--sweep", "32.0,183.0,512.0,40592.0",
                        "--out", str(out)) == 0
     assert spy.call_count == 3
@@ -775,6 +736,11 @@ def _doc_leaves(doc):
         yield from _doc_leaves(v) if isinstance(v, dict) else [v]
 
 
+def _point_json(doc) -> str:
+    """doc as json.dumps writes it at a breakdown.json point's indent."""
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
 def _csv_line(row):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(row)
@@ -803,8 +769,7 @@ def _shared_record_points() -> list:
                                       energy.estimate_energy(trace, b, b, b, sys), 96, 96))
     last = points[-1].report_a
     update = replace(last.per_phase[Phase.WEIGHT_UPDATE], dram_nj=-0.0, compute_nj=-0.0)
-    hand = replace(last, per_phase={**last.per_phase, Phase.WEIGHT_UPDATE: update},
-                   priced=None)
+    hand = replace(last, per_phase={**last.per_phase, Phase.WEIGHT_UPDATE: update})
     return [(0, 32.0, points[0]), (1, 40.0, None), (2, 64.5, points[1]),
             (3, 183.0, points[2]), (4, 183.0, replace(points[2], report_a=hand))]
 
@@ -814,36 +779,50 @@ def _shared_record_points() -> list:
 @settings(max_examples=300)
 @np.errstate(all="ignore")  # np.float64 leaves may overflow in the derived totals
 def test_point_writer_matches_json_text(points):
-    """The point writer's object is _json_text's, from the format when every number
-    is a finite int or float and through _json_text otherwise, and its row is the
-    row each number's _fmt gives. One writer writes the points in turn, an error
-    point (None) going through _json_text between them, as a sweep does."""
-    keys = {}
+    """The point writer's object is json.dumps's at the point indent, from the format
+    when every number is a finite int or float and through _dumps otherwise, and its
+    row is the row each number's _fmt gives. One writer writes the ok points in turn,
+    as a sweep does, which writes an error point (None) without it."""
     # a format compiled from a plain point, then from the first one
     for first in (_FIRST_POINT, points[0][2]):
-        write = cli._point_writer("iso-area", keys)
+        write = cli._point_writer("iso-area")
         write(0, 1.0, first)
         for i, value, pt in points:
             if pt is None:
-                _json_text({"index": i, "sweep_value": value, "status": "error",
-                            "detail": "outside calibrated range"}, "\n    ", keys)
                 continue
             try:
                 doc = cli._ok_point(i, value, pt)
             except (ZeroDivisionError, OverflowError):  # improvement and totals are derived
                 assume(False)
-            expected = _json_text(doc, "\n    ", keys)
+            expected = _point_json(doc)
             plain = all(type(v) is int or type(v) is float and math.isfinite(v)
                         for v in _doc_leaves(doc) if type(v) is not str)
             old_row = [i, "iso-area", cli._fmt(value), "ok", "", cli._fmt(pt.capacity_a_kb),
                        cli._fmt(pt.capacity_b_kb), cli._fmt(pt.report_a.total_nj),
                        cli._fmt(pt.report_b.total_nj), cli._fmt(doc["improvement"]),
                        pt.dram_elements_a, pt.dram_elements_b]
-            with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as spy:
+            with mock.patch.object(cli, "_dumps", wraps=cli._dumps) as spy:
                 text, row = write(i, value, pt)
             assert text == expected
             assert spy.called is not plain
             assert _csv_line(row) == _csv_line(old_row)
+
+
+def test_replaced_report_writes_its_own_fields():
+    """A report replace() makes reads its numbers from its own fields, not from the
+    record of the report it was made from, and the point writer prints them."""
+    techs = [MemoryTechnology.from_name(name) for name in ("sram", "mram_base")]
+    pt = energy.compare_iso_capacity(load_workload(CONFIGS / "workload_vgg_toy.txt"),
+                                     AcceleratorConfig(), 512.0, *techs)
+    report = replace(pt.report_a, dram_nj=1.0)
+    (fixed_keys, own_keys), doc = EnergyReport.NUMBER_KEYS, report.as_dict()
+    fixed, own = report.numbers()
+    assert fixed[0] == 1.0
+    assert [list(fixed), own] == [[functools.reduce(dict.get, path, doc) for path in keys]
+                                  for keys in (fixed_keys, own_keys)]
+    write = cli._point_writer("iso-capacity")
+    for point in (pt, replace(pt, report_a=report)):
+        assert write(0, 512.0, point)[0] == _point_json(cli._ok_point(0, 512.0, point))
 
 
 # ---------------------------------------------------------- hetero-write
