@@ -22,11 +22,13 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import __version__
 from .arraymodel import (
+    _CSV_HEADER,
     CalibrationTable,
     MemoryTechnology,
     TechnologyKind,
@@ -37,13 +39,14 @@ from .dataflow import (
     Conv,
     FullyConnected,
     LayerSpec,
+    Phase,
     layer_from_dict,
     load_workload,
 )
 from .energy import (
     MANTISSA_BITS,
+    REPORT_KEYS,
     ComparisonPoint,
-    EnergyReport,
     SegmentMap,
     SystemEnergyConfig,
     compare_iso_area,
@@ -60,9 +63,6 @@ from .magnetics import (
     fit_ln_wer,
     run_wer_sweep,
 )
-
-_METRIC_FIELDS = ("capacity_kb", "area_mm2", "read_latency_ns", "write_latency_ns",
-                  "read_energy_pj", "write_energy_pj", "leakage_mw", "wer")
 
 _ANCHOR_CAPACITIES_KB = (32.0, 183.0, 512.0, 40592.0, 131072.0, 524288.0)
 
@@ -297,8 +297,8 @@ def _exec_array_sweep(cfg: _ArraySweep, out: Path) -> list[str]:
         name = spec if isinstance(spec, str) else tech.kind.value
         for cap in cfg.capacities_kb:
             m = metrics_at_capacity(table, tech, cap)
-            rows.append([name] + [_fmt(getattr(m, f)) for f in _METRIC_FIELDS])
-    _write_csv(out / "metrics.csv", ["technology", *_METRIC_FIELDS], rows)
+            rows.append([name] + [_fmt(getattr(m, f)) for f in _CSV_HEADER[1:]])
+    _write_csv(out / "metrics.csv", _CSV_HEADER, rows)  # the header from_csv reads
     return ["metrics.csv"]
 
 
@@ -373,15 +373,8 @@ def _ok_point(i: int, value: float, pt: ComparisonPoint) -> dict:
 
 _PLAIN_NUMBERS = frozenset((int, float))
 _NON_FINITE = frozenset(("inf", "-inf", "nan"))
-
-
-def _plain_reprs(numbers) -> list | None:
-    """Each number's repr when every one is a finite int or float, else None."""
-    if _PLAIN_NUMBERS.issuperset(map(type, numbers)):
-        reprs = list(map(repr, numbers))
-        if _NON_FINITE.isdisjoint(reprs):
-            return reprs
-    return None
+_in_phase_order = itemgetter(*Phase)
+_report_numbers = attrgetter(*REPORT_KEYS)
 
 
 def _point_writer(mode: str):
@@ -389,29 +382,17 @@ def _point_writer(mode: str):
     exactly _dumps(_ok_point(i, value, pt), "\\n    "), and its compare.csv row).
 
     The first call compiles one % format from that point's own _dumps bytes, each
-    number replaced by a marker in the writer's order: the point's own numbers, each
-    report's own numbers, then each report's fixed ones (EnergyReport.numbers). A point
-    whose numbers are all finite ints and floats fills the format with their reprs,
-    which its row shares; any other point (a bool, an np.float64, inf or nan) goes
-    through _dumps. A report's fixed tuple is shared by every report priced from
-    one record, so the reprs of the last one of each side, and their check, are kept
-    and reused while a report holds that very tuple: keyed by identity, never by
-    value, since -0.0 == 0.0."""
+    number replaced by a marker in the writer's order: the point's own numbers, then
+    each report's REPORT_KEYS, its own and each phase's, read from its fields in Phase
+    order whatever the order of its per_phase dict. A point whose numbers are all
+    finite ints and floats fills the format with their reprs, which its row shares;
+    any other point (a bool, an np.float64, inf or nan) goes through _dumps."""
     compiled = None
-    held = [(None, None), (None, None)]  # per side: (a fixed tuple, its _plain_reprs)
-
-    def fixed_reprs(side: int, fixed: tuple) -> list | None:
-        for tup, reprs in held:
-            if tup is fixed:
-                return reprs
-        held[side] = fixed, _plain_reprs(fixed)
-        return held[side][1]
 
     def compile_format(i: int, value: float, pt: ComparisonPoint) -> tuple:
-        fixed_keys, own_keys = EnergyReport.NUMBER_KEYS
         paths = [(key,) for key in ("index", "sweep_value", *_POINT_NUMBERS)]
-        paths += [(tech, *path) for group in (own_keys, fixed_keys)
-                  for tech in ("tech_a", "tech_b") for path in group]
+        paths += [(tech, *at, key) for tech in ("tech_a", "tech_b")
+                  for at in ((), *(("per_phase", p.value) for p in Phase)) for key in REPORT_KEYS]
         doc = _ok_point(i, value, pt)
         for n, path in enumerate(paths):
             functools.reduce(dict.get, path[:-1], doc)[path[-1]] = f"\0{n}"
@@ -425,15 +406,15 @@ def _point_writer(mode: str):
         if compiled is None:
             compiled = compile_format(i, value, pt)
         fmt, in_text_order, csv_numbers = compiled
-        fixed_a, own_a = pt.report_a.numbers()
-        fixed_b, own_b = pt.report_b.numbers()
-        numbers = (i, value, *_point_numbers(pt), *own_a, *own_b)
-        reprs, a, b = _plain_reprs(numbers), fixed_reprs(0, fixed_a), fixed_reprs(1, fixed_b)
-        if reprs and a and b:
-            reprs += a + b
+        a, b = pt.report_a, pt.report_b
+        reports = (a, *_in_phase_order(a.per_phase), b, *_in_phase_order(b.per_phase))
+        numbers = (i, value, *_point_numbers(pt),
+                   *chain.from_iterable(map(_report_numbers, reports)))
+        if (_PLAIN_NUMBERS.issuperset(map(type, numbers))
+                and _NON_FINITE.isdisjoint(reprs := list(map(repr, numbers)))):
             text = fmt % in_text_order(reprs)
         else:
-            reprs = list(map(_fmt, numbers + fixed_a + fixed_b))
+            reprs = list(map(_fmt, numbers))
             text = _dumps(_ok_point(i, value, pt), "\n    ")
         row = csv_numbers(reprs)
         return text, [i, mode, row[0], "ok", "", *row[1:]]
@@ -533,23 +514,12 @@ def _exec_hetero_write(cfg: _HeteroWrite, out: Path) -> list[str]:
 
 # ----------------------------------------------------------- error-train
 
-_DEFAULT_EXPERIMENT = {
-    "layer_sizes": [2, 32, 32, 2],
-    "activation": "tanh",
-    "learning_rate": 0.2,
-    "batch_size": 32,
-    "epochs": 30,
-    "seeds": [1, 2, 3],
-    "n_train": 400,
-    "n_test": 200,
-    "noise": 0.3,
-    "dataset_seed": 7,
-    "binding": {
-        "activations": {"mantissa_wer": 1e-3},
-        "weights": {"mantissa_wer": 1e-3},
-        "errors": {"mantissa_wer": 1e-3},
-    },
-}
+# every other key of the schema takes its default
+_DEFAULT_EXPERIMENT = {"binding": {
+    "activations": {"mantissa_wer": 1e-3},
+    "weights": {"mantissa_wer": 1e-3},
+    "errors": {"mantissa_wer": 1e-3},
+}}
 
 
 @dataclass
@@ -557,7 +527,11 @@ class _ErrorTrain:
     experiment: dict  # the flat schema of errortrain.experiment_from_dict
 
     def __post_init__(self) -> None:
-        experiment_from_dict(self.experiment)
+        """Resolves the experiment to every key of the schema, defaults included."""
+        exp = asdict(experiment_from_dict(self.experiment))
+        net = exp.pop("net")
+        del net["seed"]  # set per run from `seeds`
+        self.experiment = {**net, **exp}
 
 
 def _resolve_error_train(args) -> _ErrorTrain:
@@ -612,7 +586,7 @@ def _manifest_seed(cfg):
     if isinstance(cfg, _WerSweep):
         return cfg.simulation.seed
     if isinstance(cfg, _ErrorTrain):
-        return list(cfg.experiment.get("seeds", []))
+        return list(cfg.experiment["seeds"])
     return None
 
 

@@ -18,8 +18,8 @@ Counts are priced apart from the technology, as Accelergy does: a trace keeps
 one record per system config object (`priced`) of its DRAM and compute energy,
 base time (cycles / clock plus DRAM latency) and per-store counts, so
 estimate_energy runs only the multiply-adds the array metrics enter, in the
-order of pricing on every call: no number changes. Each report priced from one
-record shares its tuple of those fixed numbers, which the CLI prints once.
+order of pricing on every call: no number changes. A report's numbers live in
+its fields alone.
 
 The heterogeneous write-energy model splits a binary32 word into sign /
 exponent / mantissa segments stored on arrays with different write operating
@@ -29,8 +29,7 @@ segment's array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, replace
 
 from .arraymodel import (
     ArrayMetrics,
@@ -69,6 +68,10 @@ class SystemEnergyConfig:
     __post_init__ = check_fields
 
 
+# a phase or report's numbers as as_dict() names them, each a field or property
+REPORT_KEYS = ("dram_nj", "onchip_nj", "leakage_nj", "compute_nj", "time_ns", "total_nj")
+
+
 @dataclass(frozen=True)
 class PhaseEnergy:
     dram_nj: float
@@ -82,15 +85,10 @@ class PhaseEnergy:
         return self.dram_nj + self.onchip_nj + self.leakage_nj + self.compute_nj
 
     def as_dict(self) -> dict:
-        """The report keys, each the name of the field or property it reads."""
-        return {"dram_nj": self.dram_nj, "onchip_nj": self.onchip_nj,
-                "leakage_nj": self.leakage_nj, "compute_nj": self.compute_nj,
-                "total_nj": self.total_nj, "time_ns": self.time_ns}
+        return {key: getattr(self, key) for key in REPORT_KEYS}
 
 
 _PHASES = tuple(Phase)
-# as_dict()'s names of the numbers a trace and system config fix, then of the others
-_NAMES = (("dram_nj", "compute_nj"), ("onchip_nj", "leakage_nj", "time_ns", "total_nj"))
 
 
 @dataclass(frozen=True)
@@ -98,33 +96,15 @@ class EnergyReport(PhaseEnergy):
     """One iteration: each component is the sum of its per-phase values."""
 
     per_phase: dict[Phase, PhaseEnergy]
-    # numbers(), set by estimate_energy; replace() leaves it unset, so a replaced
-    # report reads its numbers from its fields
-    priced: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    # the key path in as_dict() of each number of numbers(): (fixed's, own's)
-    NUMBER_KEYS = tuple(tuple((*at, name) for at in ((), *(("per_phase", p.value) for p in Phase))
-                              for name in names) for names in _NAMES)
 
     def as_dict(self) -> dict:
         return {**super().as_dict(), "per_phase": {
             phase.value: pe.as_dict() for phase, pe in self.per_phase.items()}}
 
-    def numbers(self) -> tuple[tuple, list]:
-        """(fixed, own): the report's numbers, then each phase's, in _NAMES' order; every
-        report priced from one record shares its `fixed` tuple, one built by hand makes both.
-        `own` is a list: CPython 3.11 keeps each freed 20-item tuple on a free list that
-        it never allocates from, which grew a sweep's peak memory by up to 0.37 MB."""
-        if self.priced:
-            return self.priced
-        at = (self, *map(self.per_phase.__getitem__, _PHASES))
-        fixed, own = ([getattr(pe, name) for pe in at for name in names] for names in _NAMES)
-        return tuple(fixed), own
-
 
 def _priced(trace: AccessTrace, sys: SystemEnergyConfig) -> tuple:
     """trace's record at the config object sys: (sys, per phase (dram_nj, cycles / clock
-    plus DRAM latency in ns, compute_nj, each _BUFFERS store's (reads, writes)), `fixed`)."""
+    plus DRAM latency in ns, compute_nj, each _BUFFERS store's (reads, writes)))."""
     if trace.priced and trace.priced[0] is sys:
         return trace.priced
     totals, compute = trace.totals, trace.phase_compute
@@ -137,8 +117,7 @@ def _priced(trace: AccessTrace, sys: SystemEnergyConfig) -> tuple:
                        cycles / sys.clock_ghz + dram_accesses * sys.dram_latency_ns,
                        macs * sys.mac_energy_pj / 1e3,
                        [totals.get((phase, store), (0, 0)) for store in _BUFFERS]))
-    dram, compute = [p[0] for p in phases], [p[2] for p in phases]
-    trace.priced = (sys, phases, (sum(dram), sum(compute), *chain(*zip(dram, compute))))
+    trace.priced = sys, phases
     return trace.priced
 
 
@@ -147,14 +126,14 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
     """Energy and serialized-time report for one iteration's trace.
 
     Reads the trace's per-(phase, store) totals and per-phase compute; a key
-    the trace lacks counts as zero.
+    the trace lacks counts as zero. Each total is summed over the phases in order.
     """
-    _, phases, fixed = _priced(trace, sys)
+    _, phases = _priced(trace, sys)
     buffers = [(m.read_energy_pj, m.write_energy_pj, m.read_latency_ns, m.write_latency_ns)
                for m in (act, wt, err)]
     leak_mw = act.leakage_mw + wt.leakage_mw + err.leakage_mw
     per_phase: dict[Phase, PhaseEnergy] = {}
-    own = []  # (onchip_nj, leakage_nj, time_ns, total_nj) per phase
+    dram = onchip = leakage = compute = total_ns = 0.0
     for phase, (dram_nj, time_ns, compute_nj, counts) in zip(_PHASES, phases):
         onchip_pj = 0.0
         for (reads, writes), (read_pj, write_pj, read_ns, write_ns) in zip(counts, buffers):
@@ -163,15 +142,13 @@ def estimate_energy(trace: AccessTrace, act: ArrayMetrics, wt: ArrayMetrics,
             time_ns += reads * read_ns
             time_ns += writes * write_ns
         onchip_nj, leakage_nj = onchip_pj / 1e3, leak_mw * time_ns / 1e3  # mW * ns = pJ
-        own += onchip_nj, leakage_nj, time_ns, dram_nj + onchip_nj + leakage_nj + compute_nj
         per_phase[phase] = PhaseEnergy(dram_nj, onchip_nj, leakage_nj, compute_nj, time_ns)
-    # each component summed over the phases in order
-    dram, compute = fixed[:2]
-    onchip, leakage, time_ns = sum(own[0::4]), sum(own[1::4]), sum(own[2::4])
-    own[:0] = onchip, leakage, time_ns, dram + onchip + leakage + compute
-    report = EnergyReport(dram, onchip, leakage, compute, time_ns, per_phase)
-    object.__setattr__(report, "priced", (fixed, own))
-    return report
+        dram += dram_nj
+        onchip += onchip_nj
+        leakage += leakage_nj
+        compute += compute_nj
+        total_ns += time_ns
+    return EnergyReport(dram, onchip, leakage, compute, total_ns, per_phase)
 
 
 @dataclass(frozen=True)

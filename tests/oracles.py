@@ -8,6 +8,8 @@ bug in the package and a bug in the oracle are unlikely to coincide.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -610,7 +612,9 @@ def components(report):
 
 def estimate_energy_per_call(trace, act, wt, err, sys):
     """energy.estimate_energy as it was before a trace kept its priced record: every
-    call prices the trace's DRAM, compute and base time itself, in the same order."""
+    call prices the trace's DRAM, compute and base time itself, in the same order, and
+    adds each total up over the phases from left to right (Python 3.12's sum() adds
+    floats with compensation, so it is not used here)."""
     buffers = [(store, m.read_energy_pj, m.write_energy_pj, m.read_latency_ns,
                 m.write_latency_ns) for store, m in
                ((Store.ACTIVATION, act), (Store.WEIGHT, wt), (Store.ERROR, err))]
@@ -631,4 +635,4 @@ def estimate_energy_per_call(trace, act, wt, err, sys):
         rows.append((dram_accesses * sys.dram_energy_per_access_nj, onchip_pj / 1e3,
                      leak_mw * time_ns / 1e3, macs * sys.mac_energy_pj / 1e3, time_ns))
         per_phase[phase] = PhaseEnergy(*rows[-1])
-    return EnergyReport(*map(sum, zip(*rows)), per_phase)
+    return EnergyReport(*(reduce(add, column, 0.0) for column in zip(*rows)), per_phase)

@@ -1,6 +1,5 @@
 import csv
 import filecmp
-import functools
 import hashlib
 import io
 import json
@@ -10,7 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -22,14 +21,15 @@ from hypothesis import strategies as st
 
 import spinpad
 from spinpad import cli, energy
-from spinpad.arraymodel import (ArrayMetrics, CalibrationTable, MemoryTechnology,
-                                metrics_at_capacity)
+from spinpad.arraymodel import (_CSV_HEADER, ArrayMetrics, CalibrationTable,
+                                MemoryTechnology, metrics_at_capacity)
 from spinpad.cli import _COMMANDS, _parse_float_list, build_parser, main
 from spinpad.dataflow import AcceleratorConfig, AccessTrace, Phase, Store, load_workload
 from spinpad.energy import ComparisonPoint, EnergyReport, PhaseEnergy, SystemEnergyConfig
 from spinpad.errors import ConfigError, InvalidFitError
 from spinpad.errortrain import (BufferErrorBinding, ExperimentConfig, SegmentErrorConfig,
-                                TinyNetSpec, make_moons_dataset, train_reference)
+                                TinyNetSpec, experiment_from_dict, make_moons_dataset,
+                                train_reference)
 from spinpad.magnetics import MagSimConfig, MtjDevice, WerCurve, run_wer_sweep
 
 
@@ -405,8 +405,8 @@ def test_array_sweep_output_reads_back_as_calibration(tmp_path):
     for row in read_csv(out / "metrics.csv"):
         m = metrics_at_capacity(table, MemoryTechnology.from_name(row["technology"]),
                                 float(row["capacity_kb"]))
-        assert [cli._fmt(getattr(m, f)) for f in cli._METRIC_FIELDS] == [
-            row[f] for f in cli._METRIC_FIELDS]
+        assert [cli._fmt(getattr(m, f)) for f in _CSV_HEADER[1:]] == [
+            row[f] for f in _CSV_HEADER[1:]]
     for name, flags in (("read", ["--calibration", str(out / "metrics.csv")]),
                         ("built-in", [])):
         assert run_cli("system-compare", *flags, "--out", str(tmp_path / name)) == 0
@@ -774,8 +774,18 @@ def _shared_record_points() -> list:
             (3, 183.0, points[2]), (4, 183.0, replace(points[2], report_a=hand))]
 
 
+def _reversed_phase_points() -> list:
+    """One ok point whose reports hold their phases last to first, each phase's
+    numbers its own."""
+    per_phase = {p: PhaseEnergy(*(10.0 * k + n for n in range(5)))
+                 for k, p in enumerate(reversed(Phase))}
+    report = EnergyReport(1.5, 2.5, 3.5, 4.5, 5.5, per_phase)
+    return [(0, 32.0, ComparisonPoint(32.0, 32.0, report, report, 7, 7))]
+
+
 @given(points=_ok_points().map(lambda point: [point]))
 @example(points=_shared_record_points())
+@example(points=_reversed_phase_points())
 @settings(max_examples=300)
 @np.errstate(all="ignore")  # np.float64 leaves may overflow in the derived totals
 def test_point_writer_matches_json_text(points):
@@ -809,20 +819,19 @@ def test_point_writer_matches_json_text(points):
 
 
 def test_replaced_report_writes_its_own_fields():
-    """A report replace() makes reads its numbers from its own fields, not from the
-    record of the report it was made from, and the point writer prints them."""
+    """A report replace() makes is written with its own fields, not with those of
+    the report it was made from."""
     techs = [MemoryTechnology.from_name(name) for name in ("sram", "mram_base")]
     pt = energy.compare_iso_capacity(load_workload(CONFIGS / "workload_vgg_toy.txt"),
                                      AcceleratorConfig(), 512.0, *techs)
     report = replace(pt.report_a, dram_nj=1.0)
-    (fixed_keys, own_keys), doc = EnergyReport.NUMBER_KEYS, report.as_dict()
-    fixed, own = report.numbers()
-    assert fixed[0] == 1.0
-    assert [list(fixed), own] == [[functools.reduce(dict.get, path, doc) for path in keys]
-                                  for keys in (fixed_keys, own_keys)]
     write = cli._point_writer("iso-capacity")
-    for point in (pt, replace(pt, report_a=report)):
+    replaced = replace(pt, report_a=report)
+    for point in (pt, replaced):
         assert write(0, 512.0, point)[0] == _point_json(cli._ok_point(0, 512.0, point))
+    doc = json.loads(write(0, 512.0, replaced)[0])["tech_a"]
+    assert (doc["dram_nj"], doc["total_nj"]) == (1.0, report.total_nj)
+    assert doc["per_phase"] == {p.value: pe.as_dict() for p, pe in report.per_phase.items()}
 
 
 # ---------------------------------------------------------- hetero-write
@@ -929,6 +938,24 @@ def test_error_train_seed_flag_restricts_seeds(tmp_path):
     assert manifest["seed"] == [2]
     doc = read_json(out / "summary.json")
     assert list(doc["seeds"]) == ["2"]
+
+
+def test_error_train_manifest_records_the_resolved_experiment(tmp_path):
+    """A config that sets a few keys is recorded with every key of the schema, the
+    defaults it leaves out included, and the manifest's seed lists the seeds trained."""
+    cfg = tmp_path / "exp.json"
+    raw = {"epochs": 1, "n_train": 40, "n_test": 20}
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli("error-train", "--config", str(cfg), "--out", str(out)) == 0
+    manifest = read_manifest(out)
+    assert manifest["seed"] == [1, 2, 3]
+    assert list(read_json(out / "summary.json")["seeds"]) == ["1", "2", "3"]
+    exp = manifest["config"]["experiment"]
+    assert set(exp) == ({f.name for f in fields(TinyNetSpec)} - {"seed"}
+                        | {f.name for f in fields(ExperimentConfig)} - {"net"})
+    assert exp["binding"] == asdict(BufferErrorBinding())
+    assert experiment_from_dict(exp) == experiment_from_dict(raw)
 
 
 # runs train once per entry of "seeds": a top-level seed is not a setting, and

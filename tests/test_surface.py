@@ -1,4 +1,5 @@
-"""Every public function of the package has a caller outside the tests.
+"""Every public function of the package has a caller outside the tests, and
+every private module-level name is read somewhere in src/.
 
 A function only tests call checks nothing the program runs, so it belongs
 in tests/oracles.py, not in src/. References are read from the syntax trees
@@ -63,3 +64,37 @@ def test_every_public_def_has_a_caller_outside_the_tests():
 def test_allowlist_names_live_defs():
     defs = public_defs()
     assert set(ALLOWED) <= set(defs), set(ALLOWED) - set(defs)
+
+
+def private_defs() -> dict[str, str]:
+    """{name: file} of the private names each module under src/spinpad binds at its
+    top level: defs, classes and assignment targets, dunder names aside."""
+    names = {}
+    for path in sorted((ROOT / "src" / "spinpad").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            names.update((name, path.name) for name in bound
+                         if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def test_every_private_name_is_read_in_src():
+    """A private module-level name that nothing under src/ loads, as a name or as an
+    attribute, is a remnant of code that is gone."""
+    reads = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    defs = private_defs()
+    assert defs
+    unread = sorted(f"{path}: {name}" for name, path in defs.items() if name not in reads)
+    assert not unread, "private names nothing in src/ reads:\n" + "\n".join(unread)
